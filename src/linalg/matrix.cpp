@@ -194,6 +194,18 @@ double max_abs_diff(const Matrix& a, const Matrix& b) {
   return m;
 }
 
+cplx trace_of_product(const Matrix& a, const Matrix& b) {
+  require(a.rows() == b.cols() && a.cols() == b.rows(),
+          "trace_of_product: shape mismatch");
+  cplx t = 0.0;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    cplx diag = 0.0;
+    for (std::size_t k = 0; k < a.cols(); ++k) diag += a(i, k) * b(k, i);
+    t += diag;
+  }
+  return t;
+}
+
 bool approx_equal(const Matrix& a, const Matrix& b, double tol) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
   return max_abs_diff(a, b) < tol;

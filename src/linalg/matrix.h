@@ -111,6 +111,12 @@ Matrix kron_all(const std::vector<Matrix>& factors);
 /// Max absolute elementwise difference; matrices must have equal shapes.
 double max_abs_diff(const Matrix& a, const Matrix& b);
 
+/// Tr(a b) = sum_ij a_ij b_ji in O(rows * cols), without forming the
+/// product. Requires a.rows() == b.cols() and a.cols() == b.rows(). Sums
+/// in the order (a * b).trace() does: the two agree bit for bit on finite
+/// entries.
+cplx trace_of_product(const Matrix& a, const Matrix& b);
+
 /// True when shapes match and max_abs_diff < tol.
 bool approx_equal(const Matrix& a, const Matrix& b, double tol = 1e-9);
 

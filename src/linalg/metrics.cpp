@@ -49,13 +49,13 @@ double trace_distance(const Matrix& rho, const Matrix& sigma) {
   return 0.5 * s;
 }
 
-double purity(const Matrix& rho) { return (rho * rho).trace().real(); }
+double purity(const Matrix& rho) { return trace_of_product(rho, rho).real(); }
 
 double unitary_fidelity(const Matrix& u, const Matrix& v) {
   require(u.rows() == v.rows() && u.cols() == v.cols() && u.is_square(),
           "unitary_fidelity: shape mismatch");
   const double d = static_cast<double>(u.rows());
-  const cplx tr = (u.adjoint() * v).trace();
+  const cplx tr = trace_of_product(u.adjoint(), v);
   return std::norm(tr) / (d * d);
 }
 

@@ -40,7 +40,6 @@ LindbladSystem make_system(const ReservoirConfig& cfg,
   }
   // Chain of beamsplitter couplings between consecutive modes.
   const Matrix a = annihilation(d);
-  const Matrix id = Matrix::identity(static_cast<std::size_t>(d));
   Matrix hop = two_site(a.adjoint(), a);  // a_i^dag a_{i+1}
   hop += hop.adjoint();
   hop *= cplx{cfg.coupling, 0.0};
@@ -48,7 +47,6 @@ LindbladSystem make_system(const ReservoirConfig& cfg,
   sys.set_hamiltonian(h);
   for (int m = 0; m < cfg.modes; ++m)
     sys.add_collapse(annihilation(d), {m}, cfg.kappa);
-  (void)id;
   return sys;
 }
 

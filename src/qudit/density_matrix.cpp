@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/require.h"
+#include "linalg/metrics.h"
 #include "qudit/block_plan.h"
 #include "qudit/kernels.h"
 
@@ -164,7 +165,7 @@ void DensityMatrix::normalize() {
   rho_ *= cplx{1.0 / t, 0.0};
 }
 
-double DensityMatrix::purity() const { return (rho_ * rho_).trace().real(); }
+double DensityMatrix::purity() const { return qs::purity(rho_); }
 
 std::vector<double> DensityMatrix::probabilities() const {
   std::vector<double> p(rho_.rows());

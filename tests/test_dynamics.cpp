@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "circuit/executor.h"
 #include "common/rng.h"
@@ -26,6 +28,33 @@ Hamiltonian tfim(int n, double j, double h) {
     ham.add("ZZ", two_site(z, z) * cplx{-j, 0.0}, {i, i + 1});
   for (int i = 0; i < n; ++i) ham.add("X", x * cplx{-h, 0.0}, {i});
   return ham;
+}
+
+/// Dense n x n matrix with complex standard-normal entries.
+Matrix random_matrix(std::size_t n, Rng& rng) {
+  Matrix m(n, n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c) m(r, c) = rng.complex_normal();
+  return m;
+}
+
+Matrix random_hermitian(std::size_t n, Rng& rng) {
+  const Matrix m = random_matrix(n, rng);
+  return (m + m.adjoint()) * cplx{0.5, 0.0};
+}
+
+/// The master equation written out with dense products:
+/// -i[H, rho] + sum_k (L rho L^dag - 1/2 {L^dag L, rho}), each L already
+/// scaled by sqrt(rate).
+Matrix dense_rhs(const Matrix& h, const std::vector<Matrix>& jumps,
+                 const Matrix& rho) {
+  Matrix out = (h * rho - rho * h) * cplx{0.0, -1.0};
+  for (const Matrix& l : jumps) {
+    const Matrix ldl = l.adjoint() * l;
+    out += l * rho * l.adjoint();
+    out -= (ldl * rho + rho * ldl) * cplx{0.5, 0.0};
+  }
+  return out;
 }
 
 TEST(Hamiltonian, DenseMatchesApply) {
@@ -127,6 +156,93 @@ TEST(Trotter, DiagonalTermsUseDiagonalPath) {
   h.add("nn", nn, {0, 1});
   const Circuit c = trotter_circuit(h, {1, 0.3, 2});
   for (const auto& op : c.operations()) EXPECT_TRUE(op.diagonal);
+}
+
+TEST(Lindblad, RhsMatchesDenseFormula) {
+  struct Collapse {
+    Matrix op;
+    std::vector<int> sites;
+    double rate;
+  };
+  Rng rng(64);
+  const std::vector<std::vector<int>> shapes = {{2}, {3, 2}, {6, 6}, {2, 3, 2}};
+  for (const std::vector<int>& dims : shapes) {
+    const QuditSpace space(dims);
+    const int last = static_cast<int>(dims.size()) - 1;
+    Hamiltonian ham(space);
+    for (int s = 0; s <= last; ++s)
+      ham.add("h", random_hermitian(space.dim(s), rng), {s});
+    for (int s = 0; s < last; ++s)
+      ham.add("hh", random_hermitian(space.dim(s) * space.dim(s + 1), rng),
+              {s, s + 1});
+    const Matrix h = ham.dense();
+    std::vector<Collapse> collapses = {
+        {annihilation(dims.front()), {0}, 0.7},
+        {number_operator(dims.back()), {last}, 0.3},
+        {random_matrix(space.dim(0), rng), {0}, 0.45},
+        {annihilation(dims.back()), {last}, 0.0},
+    };
+    if (last >= 1)
+      collapses.push_back(
+          {random_matrix(space.dim(0) * space.dim(1), rng), {0, 1}, 0.2});
+    std::vector<Matrix> jumps;
+    for (const Collapse& c : collapses)
+      jumps.push_back(embed(c.op, c.sites, space) *
+                      cplx{std::sqrt(c.rate), 0.0});
+    // rhs is linear on all matrices: a Hermitian-only shortcut must fail.
+    const Matrix rho = random_matrix(space.dimension(), rng);
+    const Matrix ref = dense_rhs(h, jumps, rho);
+    for (const bool dense : {false, true})
+      for (std::size_t before = 0; before <= collapses.size(); ++before) {
+        // The first `before` collapse operators precede the Hamiltonian.
+        LindbladSystem sys(space);
+        for (std::size_t k = 0; k <= collapses.size(); ++k) {
+          if (k == before) {
+            if (dense)
+              sys.set_hamiltonian_dense(h);
+            else
+              sys.set_hamiltonian(ham);
+          }
+          if (k < collapses.size())
+            sys.add_collapse(collapses[k].op, collapses[k].sites,
+                             collapses[k].rate);
+        }
+        EXPECT_LE(max_abs_diff(sys.rhs(rho), ref), 1e-12 * ref.max_abs())
+            << "dims " << dims.size() << " dense " << dense << " before "
+            << before;
+      }
+  }
+}
+
+TEST(Lindblad, RejectsMisshapedMatrices) {
+  const QuditSpace space({3, 2});
+  LindbladSystem sys(space);
+  sys.add_collapse(annihilation(3), {0}, 1.0);
+  const Matrix square(6, 6);
+  const auto expect_throw_naming = [](const std::string& name,
+                                      const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << name << " accepted a misshaped matrix";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const Matrix& bad : {Matrix(6, 3), Matrix(3, 6), Matrix(5, 5)}) {
+    Matrix rho = bad;
+    expect_throw_naming("LindbladSystem::rhs", [&] { sys.rhs(bad); });
+    expect_throw_naming("LindbladSystem::evolve",
+                        [&] { sys.evolve(rho, 0.1, 2); });
+    expect_throw_naming("LindbladSystem::evolve_recording", [&] {
+      sys.evolve_recording(rho, 0.1, 2, 1, {square});
+    });
+    Matrix good = square;
+    expect_throw_naming("LindbladSystem::evolve_recording", [&] {
+      sys.evolve_recording(good, 0.1, 2, 1, {bad});
+    });
+  }
+  EXPECT_THROW(sys.rhs(Matrix()), std::invalid_argument);
 }
 
 TEST(Lindblad, PureDecayToVacuum) {

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "linalg/expm.h"
@@ -82,6 +84,27 @@ TEST(Matrix, DiagonalBuilder) {
 TEST(Matrix, FrobeniusNorm) {
   const Matrix a{{3.0, 0.0}, {0.0, 4.0}};
   EXPECT_DOUBLE_EQ(a.frobenius_norm(), 5.0);
+}
+
+TEST(Matrix, TraceOfProductMatchesFullProduct) {
+  Rng rng(23);
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {1, 1}, {3, 5}, {5, 3}, {4, 4}, {1, 7}};
+  for (const auto& [rows, cols] : shapes) {
+    Matrix a(rows, cols), b(cols, rows);
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t c = 0; c < cols; ++c) {
+        a(r, c) = rng.complex_normal();
+        b(c, r) = rng.complex_normal();
+      }
+    a(0, 0) = 0.0;  // the full product skips zeros of its left operand
+    EXPECT_EQ(trace_of_product(a, b), (a * b).trace())
+        << rows << " x " << cols;
+  }
+  EXPECT_THROW(trace_of_product(Matrix(3, 5), Matrix(3, 5)),
+               std::invalid_argument);
+  EXPECT_THROW(trace_of_product(Matrix(3, 5), Matrix(4, 3)),
+               std::invalid_argument);
 }
 
 TEST(Expm, HermitianRouteMatchesSeries) {

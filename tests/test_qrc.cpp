@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -23,6 +24,20 @@ ReservoirConfig small_reservoir() {
   cfg.tau = 1.0;
   cfg.rk4_steps_per_tau = 10;
   return cfg;
+}
+
+/// Five 16-input NARMA-2 series for the batch contracts.
+std::vector<std::vector<double>> batch_inputs() {
+  Rng rng(102);
+  std::vector<std::vector<double>> inputs;
+  for (int i = 0; i < 5; ++i) inputs.push_back(make_narma(2, 16, rng).input);
+  return inputs;
+}
+
+bool same_bits(const RMatrix& a, const RMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
 }
 
 TEST(Tasks, NarmaIsBoundedAndDriven) {
@@ -120,6 +135,34 @@ TEST(Reservoir, SampledFeaturesConvergeWithShots) {
     err_many += std::abs(many[i] - exact[i]);
   }
   EXPECT_LT(err_many, err_few);
+}
+
+TEST(Reservoir, RunBatchEqualsRunBitForBit) {
+  // Pool threads evolve one const system concurrently; each series must
+  // still match the serial run() exactly.
+  const auto inputs = batch_inputs();
+  OscillatorReservoir res(small_reservoir());
+  for (const std::size_t threads : {1u, 4u}) {
+    const std::vector<RMatrix> batch = res.run_batch(inputs, threads);
+    ASSERT_EQ(batch.size(), inputs.size());
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+      EXPECT_TRUE(same_bits(batch[i], res.run(inputs[i])))
+          << "threads " << threads << " series " << i;
+  }
+}
+
+TEST(Reservoir, SampledBatchIndependentOfThreadCount) {
+  const auto inputs = batch_inputs();
+  const OscillatorReservoir res(small_reservoir());
+  Rng rng_serial(103), rng_pool(103);
+  const std::vector<RMatrix> serial =
+      res.run_sampled_batch(inputs, 64, rng_serial, 1);
+  const std::vector<RMatrix> pooled =
+      res.run_sampled_batch(inputs, 64, rng_pool, 4);
+  ASSERT_EQ(serial.size(), inputs.size());
+  ASSERT_EQ(pooled.size(), inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    EXPECT_TRUE(same_bits(serial[i], pooled[i])) << "series " << i;
 }
 
 TEST(Readout, RidgePredictsLinearTarget) {
