@@ -147,13 +147,13 @@ std::map<std::string, std::vector<double>> run_workload(
         "%zu results stored\n",
         tl.plan_cache_misses, tl.plan_cache_hits,
         1e3 * tl.queue_seconds_total, tl.results_stored);
-    // Ring overflow silently truncates job timelines; the service now
-    // surfaces the tracer's drop counter as obs.trace.dropped_spans so
-    // an operator sees the gap instead of trusting a partial trace.
+    // Ring overflow silently truncates job timelines; telemetry() reads
+    // the tracer's drop counter into trace_dropped_spans so an operator
+    // sees the gap instead of trusting a partial trace.
     if (tl.trace_dropped_spans > 0)
-      std::printf("WARNING: tracer dropped %llu span(s) "
-                  "(obs.trace.dropped_spans) -- the exported timeline is "
-                  "incomplete; raise TracerOptions::capacity_per_shard\n",
+      std::printf("WARNING: tracer dropped %llu span(s) -- the exported "
+                  "timeline is incomplete; raise "
+                  "TracerOptions::capacity_per_shard\n",
                   static_cast<unsigned long long>(tl.trace_dropped_spans));
     std::printf("\nper-tenant submit->finish latency (ms):\n");
     for (const char* tenant : names) {

@@ -16,24 +16,28 @@
 //
 // Lock-order registry (runtime contract; the analysis proves discipline
 // per-lock, order is documented here and hammered by tests):
-//   serve:  ServiceCore::mutex -> JobRecord::mutex   (core -> record;
-//           never the reverse -- JobHandle paths that hold a record
+//   serve:  ServiceCore::mutex -> JobRecord::mutex   (core -> record:
+//           ServiceCore::transition for admission and every edge out
+//           of kQueued; finish edges take the record mutex alone.
+//           Never the reverse -- JobHandle paths that hold a record
 //           mutex must not call back into the service core)
+//           JobRecord::mutex -> Journal::mutex_ (record -> journal:
+//           transition_locked records the edge's event, a leaf edge)
 //   obs:    ServiceCore::mutex -> MetricsRegistry::names_mutex_ (lazy
 //           tenant-histogram registration in submit);
 //           names_mutex_ -> shard mutexes in index order (snapshot()
 //           holds them all at once for its consistent cut);
-//           <any subsystem lock> -> metrics-shard / tracer-ring leaf
-//           (a MetricsTxn commit or span record while the caller holds
-//           its own lock -- the serve counter groups commit under
-//           ServiceCore::mutex so the telemetry balance invariant
-//           holds in every snapshot)
+//           <any subsystem lock> -> metrics-shard / tracer-ring /
+//           journal leaf (a MetricsTxn commit, span record or
+//           service-level journal mark while the caller holds its own
+//           lock, e.g. ServiceCore::transition under ServiceCore::mutex)
 //   leaves: KeyedArtifactCache::mutex_, CalibrationStore::mutex_,
 //           ResultStore::mutex_ -- taken alone, nothing acquired under
 //           them (producers run OUTSIDE the cache lock, and their
 //           metric txns are declared before the MutexLock so they
 //           commit after release); MetricsRegistry shard mutexes,
-//           Tracer shard mutexes, ManualClock::mutex_ -- terminal.
+//           Tracer shard mutexes, Journal::mutex_, ManualClock::mutex_
+//           -- terminal.
 #ifndef QS_COMMON_THREAD_ANNOTATIONS_H
 #define QS_COMMON_THREAD_ANNOTATIONS_H
 

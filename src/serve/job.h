@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "calib/snapshot.h"
 #include "common/thread_annotations.h"
 #include "exec/request.h"
 #include "obs/clock.h"
@@ -208,11 +209,6 @@ struct JobRecord {
   /// staleness policy the owning worker rebinds both at dispatch.
   std::shared_ptr<const CalibrationSnapshot> calibration;
   std::optional<Processor> calibrated_proc;
-  /// Flight recorder sink (null = journaling off). Frozen at submission
-  /// before the record becomes visible to workers; the journal outlives
-  /// the service (ServiceOptions contract), so terminal transitions can
-  /// emit even after shutdown.
-  obs::Journal* journal = nullptr;
 
   // --- guarded by `mutex` ------------------------------------------------
   mutable Mutex mutex;
@@ -228,14 +224,17 @@ struct JobRecord {
   }
 
   /// THE one sanctioned mutation point of `status`: moves the state
-  /// machine and emits the matching flight-recorder event stamped at
-  /// `at` (the service's injected clock). Every other write of `status`
-  /// in src/serve/ is banned by the `job-state` rule in
-  /// tools/lint_invariants.py, so no code path can skip the journal.
+  /// machine and records the matching flight-recorder event, stamped at
+  /// `at` (the service's injected clock), into `journal` (null =
+  /// journaling off). kQueued is the admission edge, journalled as
+  /// kSubmitted with the frozen seed, deadline and calibration epoch.
+  /// Only ServiceCore::transition calls it; the `job-state` rule in
+  /// tools/lint_invariants.py bans other calls and every other write of
+  /// `status` in src/serve/, so no code path can skip the journal.
   /// `digest` is the result digest for kDone transitions; `label` is a
   /// short detail tag (error class, cancel reason).
-  void transition_locked(JobStatus to, obs::TimePoint at,
-                         const char* label = nullptr,
+  void transition_locked(obs::Journal* journal, JobStatus to,
+                         obs::TimePoint at, const char* label = nullptr,
                          std::uint64_t digest = 0) QS_REQUIRES(mutex) {
     status = to;  // lint:allow(job-state): the transition helper itself
     if (journal == nullptr) return;
@@ -244,8 +243,12 @@ struct JobRecord {
     event.job = id;
     event.tenant = tenant;
     switch (to) {
-      case JobStatus::kQueued:  // construction state, never re-entered
-        return;
+      case JobStatus::kQueued:
+        event.type = obs::JournalEventType::kSubmitted;
+        event.seed = request.seed;
+        if (has_deadline) event.deadline_ns = obs::nanos_since_epoch(deadline);
+        if (calibration != nullptr) event.epoch = calibration->epoch;
+        break;
       case JobStatus::kRunning:
         event.type = obs::JournalEventType::kDispatched;
         break;
@@ -265,21 +268,6 @@ struct JobRecord {
     }
     if (label != nullptr) event.detail = label;
     journal->record(std::move(event));
-  }
-
-  /// Moves to a terminal state, stamped at `at`, and wakes waiters.
-  /// No-op when already terminal (first terminal transition wins).
-  /// `digest` journals the result payload digest on kDone.
-  void finish(JobStatus terminal, ExecutionResult r, std::string err,
-              obs::TimePoint at, std::uint64_t digest = 0)
-      QS_EXCLUDES(mutex) {
-    MutexLock lock(mutex);
-    if (is_terminal(status)) return;
-    transition_locked(terminal, at, err.empty() ? nullptr : err.c_str(),
-                      digest);
-    result = std::move(r);
-    error = std::move(err);
-    cv.notify_all();
   }
 };
 

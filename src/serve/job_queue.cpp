@@ -7,6 +7,7 @@ namespace qs {
 void FairShareQueue::push(Record job) {
   by_priority_[job->priority][job->tenant].push_back(job);
   by_key_[job->plan_key].push_back(std::move(job));
+  ++size_;
 }
 
 namespace {
@@ -47,6 +48,7 @@ void FairShareQueue::erase_from_key(const Record& job) {
 void FairShareQueue::remove(const Record& job) {
   erase_from_priority(job);
   erase_from_key(job);
+  --size_;
 }
 
 FairShareQueue::Record FairShareQueue::take_live(
@@ -55,18 +57,11 @@ FairShareQueue::Record FairShareQueue::take_live(
   while (!lane.empty()) {
     Record r = lane.front();
     lane.pop_front();
-    MutexLock lock(r->mutex);
-    if (r->status != JobStatus::kQueued) continue;  // stale: cancelled or
-                                                    // dispatched elsewhere
+    --size_;
     if (r->has_deadline && now >= r->deadline) {
-      r->transition_locked(JobStatus::kExpired, now,
-                           "deadline-before-dispatch");
-      r->error = "deadline passed before dispatch";
-      r->cv.notify_all();
       expired.push_back(std::move(r));
       continue;
     }
-    r->transition_locked(JobStatus::kRunning, now);
     return r;
   }
   return nullptr;
@@ -158,23 +153,17 @@ std::size_t FairShareQueue::indexed_records() const {
   return keyed > laned ? keyed : laned;
 }
 
-std::size_t FairShareQueue::cancel_all(Clock::time_point now) {
-  std::size_t cancelled = 0;
-  for (auto& [key, lane] : by_key_) {
-    (void)key;
-    for (Record& r : lane) {
-      MutexLock lock(r->mutex);
-      if (r->status != JobStatus::kQueued) continue;
-      r->transition_locked(JobStatus::kCancelled, now, "abort-shutdown");
-      r->error = "service shut down (abort) before dispatch";
-      r->cv.notify_all();
-      ++cancelled;
-    }
-  }
+std::vector<FairShareQueue::Record> FairShareQueue::take_all() {
+  std::vector<Record> all;
+  all.reserve(size_);
+  for (auto& level : by_priority_)
+    for (auto& lane : level.second)
+      for (Record& r : lane.second) all.push_back(std::move(r));
   by_priority_.clear();
   last_tenant_.clear();
   by_key_.clear();
-  return cancelled;
+  size_ = 0;
+  return all;
 }
 
 }  // namespace qs

@@ -14,12 +14,17 @@
 //      dispatched as one ExecutionSession::submit_batch sharing one
 //      CompiledCircuit.
 //
+// The queue only schedules. It reads nothing of a record but the fields
+// frozen at submission (priority, tenant, plan key, deadline), never
+// reads or writes `status`, and takes no record lock: a record is in the
+// queue exactly while it is kQueued, and the service moves every job
+// that leaves it along its lifecycle edge (ServiceCore::transition).
+//
 // The queue is NOT internally synchronized: the JobService serializes all
-// queue calls under its own mutex (records' mutexes are taken briefly
-// inside, service-mutex-then-record-mutex order everywhere). That
-// external contract is machine-checked: the queue lives in ServiceCore
-// as a QS_GUARDED_BY(mutex) member, so a clang -Wthread-safety build
-// rejects any call made without the service mutex held.
+// queue calls under its own mutex. That external contract is
+// machine-checked: the queue lives in ServiceCore as a
+// QS_GUARDED_BY(mutex) member, so a clang -Wthread-safety build rejects
+// any call made without the service mutex held.
 //
 // Every record is indexed twice (its tenant lane and its plan-key lane);
 // whenever a job leaves the queue -- dispatched, expired, or cancelled --
@@ -49,41 +54,43 @@ class FairShareQueue {
   /// caller reads them from the service's injected obs::Clock.
   using Clock = obs::TimeBase;
 
-  /// One scheduling decision.
+  /// One scheduling decision. Every record in it has left the queue but
+  /// is still kQueued: the caller moves it along its edge.
   struct Pop {
-    /// Dispatched jobs, all sharing one plan key, already marked
-    /// kRunning. Empty when nothing was dispatchable.
+    /// Jobs to dispatch, all sharing one plan key. Empty when nothing
+    /// was dispatchable.
     std::vector<Record> batch;
-    /// Jobs whose dispatch deadline had passed, already marked kExpired
-    /// and signalled.
+    /// Jobs whose dispatch deadline had passed.
     std::vector<Record> expired;
   };
 
-  /// Enqueues a job (status must be kQueued).
+  /// Enqueues a kQueued job.
   void push(Record job);
 
-  /// Erases one job's entries from both index structures (targeted scan
-  /// of its tenant and plan-key lanes). Called on cancellation so a
-  /// cancelled record is freed immediately instead of lingering as a
-  /// stale entry in lanes no pop may ever revisit.
+  /// Erases one queued job's entries from both index structures
+  /// (targeted scan of its tenant and plan-key lanes). Called on
+  /// cancellation so a cancelled record is freed immediately instead of
+  /// lingering in lanes no pop may ever revisit.
   void remove(const Record& job);
+
+  /// Jobs in the queue now.
+  std::size_t size() const { return size_; }
 
   /// Live records across both index structures must always agree; exposed
   /// for leak regression tests (0 once everything popped or cancelled).
   std::size_t indexed_records() const;
 
-  /// Pops the next batch per the policy above. `now` is the dispatch
-  /// timestamp used for deadline checks.
+  /// Pops the next batch per the policy above, diverting jobs whose
+  /// deadline is at or before `now` into `Pop::expired`.
   Pop pop_batch(std::size_t max_batch, Clock::time_point now);
 
-  /// Marks every still-queued job kCancelled as of `now` (signalling
-  /// each, journalling each) and empties the queue. Returns how many
-  /// jobs were cancelled.
-  std::size_t cancel_all(Clock::time_point now);
+  /// Empties the queue and returns every job it held, highest priority
+  /// first, then by tenant name, FIFO within a tenant.
+  std::vector<Record> take_all();
 
  private:
-  /// Pops the next live job from one tenant lane, diverting expired jobs.
-  /// Returns nullptr when the lane is exhausted.
+  /// Pops the next job from one lane, diverting expired jobs. Returns
+  /// nullptr when the lane is exhausted.
   Record take_live(std::deque<Record>& lane, Clock::time_point now,
                    std::vector<Record>& expired);
 
@@ -98,6 +105,7 @@ class FairShareQueue {
   std::map<int, std::string> last_tenant_;
   /// Submission-ordered lane per plan key, for batch gathering.
   std::unordered_map<std::uint64_t, std::deque<Record>> by_key_;
+  std::size_t size_ = 0;
 };
 
 }  // namespace qs

@@ -116,7 +116,6 @@ struct ServiceCore {
     kernel_batched_id = registry->counter("exec.kernels.dispatch.batched");
     queued_id = registry->gauge("serve.jobs.queued");
     running_id = registry->gauge("serve.jobs.running");
-    dropped_spans_id = registry->gauge("obs.trace.dropped_spans");
     batch_hist_id = registry->histogram(
         "serve.batch.jobs", obs::MetricsRegistry::pow2_bounds(1024.0));
     queue_wait_id =
@@ -155,15 +154,11 @@ struct ServiceCore {
   obs::CounterId kernel_specialized_id, kernel_generic_id, kernel_scalar_id,
       kernel_batched_id;
   obs::GaugeId queued_id, running_id;
-  /// Mirror of Tracer::dropped() (satellite of the flight-recorder PR):
-  /// synced into the registry on every telemetry()/metrics() call so
-  /// span loss is visible in the same snapshot as everything else.
-  obs::GaugeId dropped_spans_id;
   obs::HistogramId batch_hist_id, queue_wait_id, latency_id;
 
-  /// Guards every member annotated with it (scheduler state + counters);
-  /// acquired before any JobRecord::mutex, never after one (the core ->
-  /// record lock order, see thread_annotations.h).
+  /// Guards every member annotated with it (scheduler state); acquired
+  /// before any JobRecord::mutex, never after one (the core -> record
+  /// lock order, see thread_annotations.h).
   Mutex mutex;
   CondVar cv;  ///< wakes workers (work ready / shutdown)
   FairShareQueue queue QS_GUARDED_BY(mutex);
@@ -174,37 +169,8 @@ struct ServiceCore {
   JobId next_id QS_GUARDED_BY(mutex) = 0;
   /// Next auto-seed stream index per tenant.
   std::map<std::string, std::uint64_t> tenant_streams QS_GUARDED_BY(mutex);
-
-  /// The one scheduler count kept as a guarded field: the worker cv
-  /// predicate reads it under the mutex. Every other counter lives in
-  /// the registry (see ServiceTelemetry); its `serve.jobs.queued` gauge
-  /// mirrors this field, committed in the same critical sections.
-  std::size_t queued QS_GUARDED_BY(mutex) = 0;
   /// Per-tenant latency histograms, registered lazily at first submit.
   std::map<std::string, obs::HistogramId> tenant_hists QS_GUARDED_BY(mutex);
-  /// Last Tracer::dropped() value pushed into the dropped-spans gauge
-  /// (gauges are delta-updated, so the sync needs the previous value).
-  std::uint64_t last_dropped QS_GUARDED_BY(mutex) = 0;
-
-  /// Folds the tracer's current dropped-span count into the
-  /// `obs.trace.dropped_spans` gauge (no-op without a tracer). Called
-  /// before every registry snapshot the service hands out.
-  void sync_dropped_spans() QS_EXCLUDES(mutex) {
-    if (tracer == nullptr) return;
-    const std::uint64_t dropped = tracer->dropped();
-    MutexLock lock(mutex);
-    if (dropped == last_dropped) return;
-    registry->gauge_add(dropped_spans_id,
-                        static_cast<std::int64_t>(dropped - last_dropped));
-    last_dropped = dropped;
-  }
-
-  /// Balance-invariant discipline: every lifecycle transition commits
-  /// its counter/gauge group as ONE MetricsTxn while holding `mutex`,
-  /// so commits are ordered like the transitions themselves and any
-  /// registry snapshot satisfies completed + failed + cancelled +
-  /// expired + queued + running == submitted. (Txn commit under the
-  /// core mutex is the documented core -> metrics-shard leaf edge.)
 
   const NoiseModel& noise() const {
     static const NoiseModel kNoiseless;
@@ -212,43 +178,151 @@ struct ServiceCore {
     return nm != nullptr ? *nm : kNoiseless;
   }
 
-  bool cancel_job(const Record& record) QS_EXCLUDES(mutex) {
-    const obs::TimePoint cancel_time = time_source->now();
+  /// THE one emission point of the job state machine: moves `jobs` along
+  /// one lifecycle edge into `to`, stamped at `at`. Admission (kQueued,
+  /// journalled as kSubmitted), dispatch, expiry, client and abort
+  /// cancel, and finish all come through here, in a fixed order:
+  ///   1. one MetricsTxn moves the jobs between the balance-law buckets
+  ///      (submitted = queued + running + completed + failed + cancelled
+  ///      + expired), balance ops first so they land in the first atomic
+  ///      chunk even when the edge's histogram observations overflow it;
+  ///   2. the kQueue span closes as a job leaves the queue, the kJob
+  ///      span as it becomes terminal;
+  ///   3. per record, transition_locked moves status and journals the
+  ///      edge, and a terminal edge wakes the record's waiters -- after
+  ///      step 1, so a woken client always finds its job counted.
+  /// A terminal edge out of the queue sets each record's `error`; the
+  /// journal gets `label`. The finish edge passes `to` = kDone and
+  /// `outcomes` parallel to `jobs`: each job ends in its outcome's
+  /// status (kDone or kFailed) and takes its result and error.
+  /// Admission and edges out of kQueued run under `mutex` (the core ->
+  /// record nesting); finish edges run without it.
+  void transition(const std::vector<Record>& jobs, JobStatus to,
+                  obs::TimePoint at, const char* label = nullptr,
+                  const char* error = nullptr,
+                  std::vector<JobOutcome>* outcomes = nullptr) {
+    if (jobs.empty()) return;
+    const std::size_t n = jobs.size();
     {
-      MutexLock lock(mutex);
-      {
-        // core -> record nesting: the one place both locks are held.
-        MutexLock record_lock(record->mutex);
-        if (record->status != JobStatus::kQueued) return false;
-        record->transition_locked(JobStatus::kCancelled, cancel_time,
-                                  "client-cancel");
-        record->error = "cancelled by client";
-        record->cv.notify_all();
-      }
-      // Eagerly drop the queue's entries (and with them the circuit
-      // copy): a cancelled job in a lane no pop ever revisits must not
-      // pin its record for the service's lifetime.
-      queue.remove(record);
-      --queued;
       obs::MetricsTxn txn(*registry);
-      txn.add(cancelled_id);
-      txn.gauge_add(queued_id, -1);
-      txn.commit();
-      cv.notify_all();  // a drain waiting on an emptying queue may finish
+      const auto signed_n = static_cast<std::int64_t>(n);
+      switch (to) {
+        case JobStatus::kQueued:
+          txn.add(submitted_id, n);
+          txn.gauge_add(queued_id, signed_n);
+          break;
+        case JobStatus::kRunning:
+          txn.gauge_add(queued_id, -signed_n);
+          txn.gauge_add(running_id, signed_n);
+          txn.observe(batch_hist_id, static_cast<double>(n));
+          for (const Record& r : jobs)
+            txn.observe(queue_wait_id,
+                        obs::seconds_between(r->submitted_at, at));
+          break;
+        case JobStatus::kCancelled:
+        case JobStatus::kExpired:
+          txn.gauge_add(queued_id, -signed_n);
+          txn.add(to == JobStatus::kCancelled ? cancelled_id : expired_id, n);
+          break;
+        case JobStatus::kDone:
+        case JobStatus::kFailed: {
+          std::size_t done = 0;
+          kernels::DispatchCounts dispatch;
+          for (const JobOutcome& o : *outcomes) {
+            if (o.status != JobStatus::kDone) continue;
+            ++done;
+            dispatch += o.result.kernel_dispatch;
+          }
+          txn.gauge_add(running_id, -signed_n);
+          txn.add(completed_id, done);
+          txn.add(failed_id, n - done);
+          txn.add(kernel_specialized_id, dispatch.specialized);
+          txn.add(kernel_generic_id, dispatch.generic);
+          txn.add(kernel_scalar_id, dispatch.scalar);
+          txn.add(kernel_batched_id, dispatch.batched);
+          for (const Record& r : jobs) {
+            const double latency = obs::seconds_between(r->submitted_at, at);
+            txn.observe(latency_id, latency);
+            txn.observe(r->tenant_latency_id, latency);
+          }
+          break;
+        }
+      }
     }
     if (tracer != nullptr) {
-      const obs::TimePoint now = time_source->now();
-      obs::Span queue_span = obs::Tracer::make(
-          obs::Phase::kQueue, record->id, record->tenant.c_str(),
-          record->submitted_at, now);
-      queue_span.set_detail("cancelled");
-      tracer->record(queue_span);
-      obs::Span job_span = obs::Tracer::make(
-          obs::Phase::kJob, record->id, record->tenant.c_str(),
-          record->submitted_at, now);
-      job_span.set_detail("cancelled");
-      tracer->record(job_span);
+      const bool leaves_queue = to == JobStatus::kRunning ||
+                                to == JobStatus::kCancelled ||
+                                to == JobStatus::kExpired;
+      for (std::size_t i = 0; i < n; ++i) {
+        const JobRecord& r = *jobs[i];
+        const JobStatus s = outcomes != nullptr ? (*outcomes)[i].status : to;
+        const char* detail =
+            s == JobStatus::kRunning || s == JobStatus::kDone ? nullptr
+                                                              : to_string(s);
+        const auto record_span = [&](obs::Phase phase) {
+          obs::Span span = obs::Tracer::make(phase, r.id, r.tenant.c_str(),
+                                             r.submitted_at, at);
+          if (phase == obs::Phase::kJob && r.calibration != nullptr)
+            span.epoch = r.calibration->epoch;
+          if (detail != nullptr) span.set_detail(detail);
+          tracer->record(span);
+        };
+        if (leaves_queue) record_span(obs::Phase::kQueue);
+        if (is_terminal(s)) record_span(obs::Phase::kJob);
+      }
     }
+    for (std::size_t i = 0; i < n; ++i) {
+      JobRecord& r = *jobs[i];
+      if (outcomes != nullptr) {
+        JobOutcome& o = (*outcomes)[i];
+        const std::uint64_t digest =
+            o.status == JobStatus::kDone && opts.journal != nullptr
+                ? result_digest(o.result)
+                : 0;
+        MutexLock lock(r.mutex);
+        r.transition_locked(opts.journal, o.status, at,
+                            o.error.empty() ? nullptr : o.error.c_str(),
+                            digest);
+        r.result = std::move(o.result);
+        r.error = std::move(o.error);
+        r.cv.notify_all();
+        continue;
+      }
+      MutexLock lock(r.mutex);
+      r.transition_locked(opts.journal, to, at, label);
+      if (!is_terminal(to)) continue;
+      if (error != nullptr) r.error = error;
+      r.cv.notify_all();
+    }
+  }
+
+  /// Journals a service-level mark (job 0) stamped at `at`; no-op with
+  /// journaling off.
+  void journal_mark(obs::JournalEventType type, obs::TimePoint at,
+                    const char* detail = nullptr,
+                    std::uint64_t epoch = 0) const {
+    if (opts.journal == nullptr) return;
+    obs::JournalEvent event;
+    event.time_ns = obs::nanos_since_epoch(at);
+    event.type = type;
+    event.epoch = epoch;
+    if (detail != nullptr) event.detail = detail;
+    opts.journal->record(std::move(event));
+  }
+
+  bool cancel_job(const Record& record) QS_EXCLUDES(mutex) {
+    const obs::TimePoint at = time_source->now();
+    MutexLock lock(mutex);
+    // Every edge out of kQueued runs under `mutex`, so this read cannot
+    // go stale before the transition below.
+    if (record->current_status() != JobStatus::kQueued) return false;
+    // Eagerly drop the queue's entries (and with them the circuit copy):
+    // a cancelled job in a lane no pop ever revisits must not pin its
+    // record for the service's lifetime.
+    queue.remove(record);
+    transition({record}, JobStatus::kCancelled, at, "client-cancel",
+               "cancelled by client");
+    cv.notify_all();  // a drain waiting on an emptying queue may finish
     return true;
   }
 
@@ -314,8 +388,6 @@ struct ServiceCore {
     handle_staleness(batch);
     std::shared_ptr<const TranspiledCircuit> transpiled;
     std::shared_ptr<const CompiledCircuit> plan;
-    std::size_t done = 0;
-    std::size_t bad = 0;
     try {
       const ExecutionRequest& first = batch[0]->request;
       // The batch-level resolution is attributed to the seed job; the
@@ -342,8 +414,6 @@ struct ServiceCore {
       // artifact empty; the per-job path below reports the error per job.
     }
 
-    // Outcomes are collected first and records signalled last, so by the
-    // time any waiter wakes the counters already account for its job.
     std::vector<JobOutcome> outcomes(batch.size());
 
     bool batch_ok = plan != nullptr;
@@ -385,63 +455,15 @@ struct ServiceCore {
       }
     }
 
-    kernels::DispatchCounts dispatch;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (outcomes[i].status == JobStatus::kDone) {
-        obs::SpanTimer span =
-            batch[i]->request.trace.span(obs::Phase::kStore);
-        store.put(batch[i]->id, outcomes[i].result);
-        span.finish();
-        dispatch += outcomes[i].result.kernel_dispatch;
-        ++done;
-      } else {
-        ++bad;
-      }
+      if (outcomes[i].status != JobStatus::kDone) continue;
+      obs::SpanTimer span = batch[i]->request.trace.span(obs::Phase::kStore);
+      store.put(batch[i]->id, outcomes[i].result);
     }
-
     // One finish timestamp for the whole batch: latency histograms and
     // the kJob root spans close on it.
-    const obs::TimePoint finished_at = time_source->now();
-    {
-      obs::MetricsTxn txn(*registry);
-      for (const Record& r : batch) {
-        const double latency =
-            obs::seconds_between(r->submitted_at, finished_at);
-        txn.observe(latency_id, latency);
-        txn.observe(r->tenant_latency_id, latency);
-      }
-    }
-    if (tracer != nullptr) {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        obs::Span job_span = obs::Tracer::make(
-            obs::Phase::kJob, batch[i]->id, batch[i]->tenant.c_str(),
-            batch[i]->submitted_at, finished_at);
-        if (batch[i]->calibration != nullptr)
-          job_span.epoch = batch[i]->calibration->epoch;
-        if (outcomes[i].status == JobStatus::kFailed)
-          job_span.set_detail("failed");
-        tracer->record(job_span);
-      }
-    }
-    {
-      MutexLock lock(mutex);
-      obs::MetricsTxn txn(*registry);
-      txn.add(completed_id, done);
-      txn.add(failed_id, bad);
-      txn.add(kernel_specialized_id, dispatch.specialized);
-      txn.add(kernel_generic_id, dispatch.generic);
-      txn.add(kernel_scalar_id, dispatch.scalar);
-      txn.add(kernel_batched_id, dispatch.batched);
-      txn.gauge_add(running_id, -static_cast<std::int64_t>(batch.size()));
-      txn.commit();  // under the mutex: transitions commit in order
-    }
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const std::uint64_t digest = outcomes[i].status == JobStatus::kDone
-                                       ? result_digest(outcomes[i].result)
-                                       : 0;
-      batch[i]->finish(outcomes[i].status, std::move(outcomes[i].result),
-                       std::move(outcomes[i].error), finished_at, digest);
-    }
+    transition(batch, JobStatus::kDone, time_source->now(), nullptr, nullptr,
+               &outcomes);
   }
 
   void worker_loop() QS_EXCLUDES(mutex) {
@@ -454,58 +476,22 @@ struct ServiceCore {
 
     for (;;) {
       FairShareQueue::Pop pop;
-      obs::TimePoint pop_time;
       {
         MutexLock lock(mutex);
         // Inline predicate loop (not a lambda) so the analysis sees the
         // guarded reads under the held lock; see CondVar's header note.
-        while (!((draining && queued == 0) || (!paused && queued > 0)))
+        while (!((draining && queue.size() == 0) ||
+                 (!paused && queue.size() > 0)))
           cv.wait(mutex);
-        if (queued == 0) return;  // draining and nothing left
-        pop_time = time_source->now();
-        pop = queue.pop_batch(opts.max_batch, pop_time);
-        queued -= pop.batch.size() + pop.expired.size();
-        {
-          // Balance ops first: an oversized group chunk-commits in
-          // order, so they land in the first (atomic) chunk even when
-          // the per-job queue-wait observations overflow the buffer.
-          obs::MetricsTxn txn(*registry);
-          txn.gauge_add(queued_id,
-                        -static_cast<std::int64_t>(pop.batch.size() +
-                                                   pop.expired.size()));
-          if (!pop.expired.empty()) txn.add(expired_id, pop.expired.size());
-          if (!pop.batch.empty()) {
-            txn.gauge_add(running_id,
-                          static_cast<std::int64_t>(pop.batch.size()));
-            txn.observe(batch_hist_id,
-                        static_cast<double>(pop.batch.size()));
-            for (const Record& r : pop.batch)
-              txn.observe(queue_wait_id,
-                          obs::seconds_between(r->submitted_at, pop_time));
-          }
-        }
-        if (queued > 0) cv.notify_one();  // more work for idle workers
-        if (draining && queued == 0) cv.notify_all();
-      }
-      if (tracer != nullptr) {
-        for (const Record& r : pop.expired) {
-          obs::Span queue_span = obs::Tracer::make(
-              obs::Phase::kQueue, r->id, r->tenant.c_str(), r->submitted_at,
-              pop_time);
-          queue_span.set_detail("expired");
-          tracer->record(queue_span);
-          obs::Span job_span = obs::Tracer::make(
-              obs::Phase::kJob, r->id, r->tenant.c_str(), r->submitted_at,
-              pop_time);
-          job_span.set_detail("expired");
-          tracer->record(job_span);
-        }
-        // The cross-thread kQueue interval: stamped at submission,
-        // recorded here at scheduler pop.
-        for (const Record& r : pop.batch)
-          tracer->record(obs::Tracer::make(obs::Phase::kQueue, r->id,
-                                           r->tenant.c_str(),
-                                           r->submitted_at, pop_time));
+        if (queue.size() == 0) return;  // draining and nothing left
+        const obs::TimePoint now = time_source->now();
+        pop = queue.pop_batch(opts.max_batch, now);
+        transition(pop.expired, JobStatus::kExpired, now,
+                   "deadline-before-dispatch",
+                   "deadline passed before dispatch");
+        transition(pop.batch, JobStatus::kRunning, now);
+        if (queue.size() > 0) cv.notify_one();  // more work for idle workers
+        if (draining && queue.size() == 0) cv.notify_all();
       }
       if (!pop.batch.empty()) execute_batch(session, pop.batch);
     }
@@ -626,9 +612,9 @@ JobHandle JobService::submit(JobSpec spec) {
   MutexLock lock(core_->mutex);
   if (!core_->accepting)
     throw std::runtime_error("JobService::submit: service is shut down");
-  if (options_.max_queued != 0 && core_->queued >= options_.max_queued)
+  if (options_.max_queued != 0 && core_->queue.size() >= options_.max_queued)
     throw std::runtime_error("JobService::submit: queue is full (" +
-                             std::to_string(core_->queued) + " jobs)");
+                             std::to_string(core_->queue.size()) + " jobs)");
 
   if (request.seed == kAutoSeed) {
     // Tenant seed stream: pure function of (service seed, tenant, k) --
@@ -671,33 +657,10 @@ JobHandle JobService::submit(JobSpec spec) {
       submit_span.set_epoch(record->calibration->epoch);
   }
 
-  // Flight recorder: freeze the journal pointer and emit kSubmitted
-  // before the record becomes visible to workers, so no later transition
-  // can be journalled ahead of its admission edge.
-  if (options_.journal != nullptr) {
-    record->journal = options_.journal;
-    obs::JournalEvent event;
-    event.time_ns = obs::nanos_since_epoch(now);
-    event.type = obs::JournalEventType::kSubmitted;
-    event.job = id;
-    event.tenant = record->tenant;
-    event.seed = record->request.seed;
-    if (record->has_deadline)
-      event.deadline_ns = obs::nanos_since_epoch(record->deadline);
-    if (record->calibration != nullptr)
-      event.epoch = record->calibration->epoch;
-    options_.journal->record(std::move(event));
-  }
-
+  // The admission edge precedes the record's visibility to workers, so
+  // no later edge can be counted or journalled ahead of it.
+  core_->transition({record}, JobStatus::kQueued, now);
   core_->queue.push(record);
-  ++core_->queued;
-  {
-    // Committed before the mutex is released so no worker transition
-    // can outrun it in a registry snapshot (see the balance note).
-    obs::MetricsTxn txn(*core_->registry);
-    txn.add(core_->submitted_id);
-    txn.gauge_add(core_->queued_id, 1);
-  }
   core_->cv.notify_one();
   return JobHandle(core_, std::move(record));
 }
@@ -717,13 +680,8 @@ std::uint64_t JobService::recalibrate(CalibrationSnapshot snapshot) {
   if (snapshot.epoch <= latest) snapshot.epoch = latest + 1;
   const auto stored = core_->calib_store->publish(std::move(snapshot));
   core_->registry->add(core_->recalibrations_id);
-  if (options_.journal != nullptr) {
-    obs::JournalEvent event;
-    event.time_ns = obs::nanos_since_epoch(now);
-    event.type = obs::JournalEventType::kRecalibrated;
-    event.epoch = stored->epoch;
-    options_.journal->record(std::move(event));
-  }
+  core_->journal_mark(obs::JournalEventType::kRecalibrated, now, nullptr,
+                      stored->epoch);
   return stored->epoch;
 }
 
@@ -737,24 +695,14 @@ void JobService::pause() {
   // No-op once shutdown started: re-pausing a draining service would
   // strand its workers (they must keep popping until the queue is empty).
   if (core_->draining) return;
-  if (options_.journal != nullptr && !core_->paused) {
-    obs::JournalEvent event;
-    event.time_ns = obs::nanos_since_epoch(now);
-    event.type = obs::JournalEventType::kPaused;
-    options_.journal->record(std::move(event));
-  }
+  if (!core_->paused) core_->journal_mark(obs::JournalEventType::kPaused, now);
   core_->paused = true;
 }
 
 void JobService::resume() {
   const obs::TimePoint now = core_->time_source->now();
   MutexLock lock(core_->mutex);
-  if (options_.journal != nullptr && core_->paused) {
-    obs::JournalEvent event;
-    event.time_ns = obs::nanos_since_epoch(now);
-    event.type = obs::JournalEventType::kResumed;
-    options_.journal->record(std::move(event));
-  }
+  if (core_->paused) core_->journal_mark(obs::JournalEventType::kResumed, now);
   core_->paused = false;
   core_->cv.notify_all();
 }
@@ -763,25 +711,16 @@ void JobService::shutdown(ShutdownMode mode) {
   const obs::TimePoint now = core_->time_source->now();
   {
     MutexLock lock(core_->mutex);
-    if (options_.journal != nullptr && core_->accepting) {
-      obs::JournalEvent event;
-      event.time_ns = obs::nanos_since_epoch(now);
-      event.type = obs::JournalEventType::kShutdown;
-      event.detail = mode == ShutdownMode::kDrain ? "drain" : "abort";
-      options_.journal->record(std::move(event));
-    }
+    if (core_->accepting)
+      core_->journal_mark(obs::JournalEventType::kShutdown, now,
+                          mode == ShutdownMode::kDrain ? "drain" : "abort");
     core_->accepting = false;
     core_->draining = true;
     core_->paused = false;  // a paused drain would never finish
-    if (mode == ShutdownMode::kAbort) {
-      const std::size_t n = core_->queue.cancel_all(now);
-      core_->queued -= n;
-      if (n > 0) {
-        obs::MetricsTxn txn(*core_->registry);
-        txn.add(core_->cancelled_id, n);
-        txn.gauge_add(core_->queued_id, -static_cast<std::int64_t>(n));
-      }
-    }
+    if (mode == ShutdownMode::kAbort)
+      core_->transition(core_->queue.take_all(), JobStatus::kCancelled, now,
+                        "abort-shutdown",
+                        "service shut down (abort) before dispatch");
     core_->cv.notify_all();
   }
   // Joining outside the lock: workers need it to finish their batches.
@@ -792,11 +731,10 @@ void JobService::shutdown(ShutdownMode mode) {
 }
 
 ServiceTelemetry JobService::telemetry() const {
-  // ONE consistent cut: every field except calib_epoch comes from the
-  // same registry snapshot (the registry holds all shard locks while
-  // merging), fixing the historical torn read between the scheduler
-  // counters and the cache/store gauges.
-  core_->sync_dropped_spans();
+  // ONE consistent cut: every field except calib_epoch and
+  // trace_dropped_spans comes from the same registry snapshot (the
+  // registry holds all shard locks while merging), fixing the historical
+  // torn read between the scheduler counters and the cache/store gauges.
   const obs::MetricsSnapshot snap = core_->registry->snapshot();
   ServiceTelemetry t;
   t.submitted = snap.counter("serve.jobs.submitted");
@@ -816,19 +754,8 @@ ServiceTelemetry JobService::telemetry() const {
     t.queue_seconds_total = h->sum;
   t.plan_cache_hits = snap.counter("exec.plan_cache.hits");
   t.plan_cache_misses = snap.counter("exec.plan_cache.misses");
-  t.plan_cache_evictions = snap.counter("exec.plan_cache.evictions");
-  t.plan_cache_size =
-      static_cast<std::size_t>(snap.gauge("exec.plan_cache.size"));
-  t.plan_cache_in_flight =
-      static_cast<std::size_t>(snap.gauge("exec.plan_cache.in_flight"));
   t.transpile_cache_hits = snap.counter("compiler.transpile_cache.hits");
   t.transpile_cache_misses = snap.counter("compiler.transpile_cache.misses");
-  t.transpile_cache_evictions =
-      snap.counter("compiler.transpile_cache.evictions");
-  t.transpile_cache_size =
-      static_cast<std::size_t>(snap.gauge("compiler.transpile_cache.size"));
-  t.transpile_cache_in_flight = static_cast<std::size_t>(
-      snap.gauge("compiler.transpile_cache.in_flight"));
   t.results_stored =
       static_cast<std::size_t>(snap.gauge("serve.result_store.size"));
   t.recalibrations = snap.counter("serve.recalibrations");
@@ -838,8 +765,8 @@ ServiceTelemetry JobService::telemetry() const {
   t.kernel_scalar = snap.counter("exec.kernels.dispatch.scalar");
   t.kernel_batched = snap.counter("exec.kernels.dispatch.batched");
   t.calib_epoch = core_->calib_store->latest_epoch();
-  t.trace_dropped_spans =
-      static_cast<std::uint64_t>(snap.gauge("obs.trace.dropped_spans"));
+  if (core_->tracer != nullptr)
+    t.trace_dropped_spans = core_->tracer->dropped();
   return t;
 }
 
@@ -858,7 +785,6 @@ TenantLatency JobService::tenant_latency(const std::string& tenant) const {
 }
 
 obs::MetricsSnapshot JobService::metrics() const {
-  core_->sync_dropped_spans();
   return core_->registry->snapshot();
 }
 

@@ -142,8 +142,9 @@ enum class ShutdownMode {
 /// store gauges all come from the same consistent cut (the registry
 /// holds every shard lock while merging), so invariants like
 /// completed + failed + cancelled + expired + queued + running ==
-/// submitted hold in every snapshot. Only `calib_epoch` is read
-/// adjacently (a single value from the calibration store).
+/// submitted hold in every snapshot. Only `calib_epoch` (the calibration
+/// store's latest epoch) and `trace_dropped_spans` (Tracer::dropped())
+/// are read adjacently.
 struct ServiceTelemetry {
   std::size_t submitted = 0;   ///< jobs accepted
   std::size_t completed = 0;   ///< jobs finished with a result
@@ -158,14 +159,8 @@ struct ServiceTelemetry {
   double queue_seconds_total = 0.0;  ///< sum of per-job submit->dispatch
   std::size_t plan_cache_hits = 0;
   std::size_t plan_cache_misses = 0;
-  std::size_t plan_cache_evictions = 0;
-  std::size_t plan_cache_size = 0;
-  std::size_t plan_cache_in_flight = 0;  ///< gauge: keys compiling now
   std::size_t transpile_cache_hits = 0;
   std::size_t transpile_cache_misses = 0;
-  std::size_t transpile_cache_evictions = 0;
-  std::size_t transpile_cache_size = 0;
-  std::size_t transpile_cache_in_flight = 0;
   std::size_t results_stored = 0;  ///< gauge: ResultStore entries
   std::uint64_t calib_epoch = 0;   ///< gauge: latest published epoch
   std::size_t recalibrations = 0;  ///< successful recalibrate() calls

@@ -39,8 +39,8 @@ std::vector<std::string> check_journal(const obs::Journal::Parsed& journal,
   std::map<std::uint64_t, JobTrace> jobs;
   // Event-derived counters, replayed in canonical order; compared
   // against every kSnapshot's recorded counters.
-  std::uint64_t submitted = 0, completed = 0, failed = 0, cancelled = 0,
-                expired = 0, recalibrations = 0;
+  std::uint64_t submitted = 0, dispatched = 0, completed = 0, failed = 0,
+                cancelled = 0, expired = 0, recalibrations = 0;
   std::uint64_t last_epoch = 0;
   std::uint64_t last_ns = 0;
 
@@ -75,6 +75,7 @@ std::vector<std::string> check_journal(const obs::Journal::Parsed& journal,
         // dispatch at/after the deadline means the expiry check tore.
         if (j.deadline_ns != 0 && e.time_ns >= j.deadline_ns)
           report(job_tag(e.job) + " dispatched at/after its deadline");
+        if (!j.dispatched) ++dispatched;
         j.dispatched = true;
         j.dispatched_ns = e.time_ns;
         j.last_ns = e.time_ns;
@@ -150,11 +151,6 @@ std::vector<std::string> check_journal(const obs::Journal::Parsed& journal,
         mismatch("cepoch", c.calib_epoch, last_epoch);
         // The gauges are derivable too: queued = submitted minus every
         // way out of the queue; running = dispatched minus finished.
-        std::uint64_t dispatched = 0;
-        for (const auto& [id, j] : jobs) {
-          (void)id;
-          if (j.dispatched) ++dispatched;
-        }
         mismatch("queued", c.queued,
                  submitted - dispatched - cancelled - expired);
         mismatch("running", c.running, dispatched - completed - failed);

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -45,22 +44,6 @@ std::uint64_t poisson(Rng& rng, double lambda) {
 bool in_burst(const TenantSpec& tenant, std::uint64_t tick) {
   return tenant.burst_period > 0 && tenant.burst_factor > 1.0 &&
          tick % tenant.burst_period < tenant.burst_length;
-}
-
-/// Blocks until the telemetry cut is quiescent: nothing running and
-/// every dequeued job's terminal counter committed. Needed because an
-/// expired job's handle is signalled inside pop_batch a moment before
-/// the worker commits the expired-counter transaction -- waiting on
-/// handles alone could snapshot that sliver.
-void wait_quiescent(const JobService& service) {
-  for (;;) {
-    const ServiceTelemetry t = service.telemetry();
-    if (t.running == 0 &&
-        t.submitted - t.queued ==
-            t.completed + t.failed + t.cancelled + t.expired)
-      return;
-    std::this_thread::yield();
-  }
 }
 
 /// One kSnapshot cut: the worker-count-invariant counter subset of the
@@ -166,12 +149,13 @@ ScenarioReport run_scenario(const Backend& backend, const WorkloadSpec& spec,
     // (3) Drain (unless inside a pause window: then the queue builds
     // and the ticking clock ages deadlines and result TTLs). The clock
     // is frozen during the drain, so every dispatch, expiry, and finish
-    // in it is stamped at this tick's timestamp.
+    // in it is stamped at this tick's timestamp. A job's counters commit
+    // before its waiters wake, so once every handle has returned the
+    // telemetry cut below already counts every job.
     if (!spec.paused_at(tick)) {
       service.resume();
       for (const JobHandle& handle : open) handle.wait();
       open.clear();
-      wait_quiescent(service);
       service.pause();
     }
 
@@ -196,7 +180,6 @@ ScenarioReport run_scenario(const Backend& backend, const WorkloadSpec& spec,
   service.resume();
   for (const JobHandle& handle : open) handle.wait();
   open.clear();
-  wait_quiescent(service);
   service.shutdown(ShutdownMode::kDrain);
   const ServiceTelemetry final_telemetry = service.telemetry();
   obs::JournalEvent cut = snapshot_event(final_telemetry, clock.now());

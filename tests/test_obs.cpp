@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -283,6 +284,62 @@ TEST(Tracer, ManualClockServiceTraceIsBitwiseReproducible) {
   for (const char* phase :
        {"\"submit\"", "\"queue\"", "\"job\"", "\"execute\"", "\"store\""})
     EXPECT_NE(first.find(phase), std::string::npos) << phase;
+}
+
+TEST(Tracer, EveryTerminalPathRecordsOneQueueAndOneJobSpan) {
+  obs::ManualClock clock(0);
+  obs::TracerOptions tracer_options;
+  tracer_options.clock = &clock;
+  tracer_options.shards = 1;
+  tracer_options.capacity_per_shard = 4096;
+  obs::Tracer tracer(tracer_options);
+  const StateVectorBackend backend;
+  ServiceOptions options;
+  options.workers = 1;
+  options.start_paused = true;
+  options.tracer = &tracer;
+  JobService service(backend, options);
+  const auto submit = [&](double deadline_seconds = 0.0) {
+    return service.submit(JobSpec(small_circuit())
+                              .with_shots(8)
+                              .with_deadline(deadline_seconds));
+  };
+  // Expected detail of each job's kQueue and kJob spans.
+  std::map<JobId, std::string> detail;
+  JobHandle cancelled = submit();
+  JobHandle expired = submit(5.0);
+  JobHandle done = submit();
+  EXPECT_TRUE(cancelled.cancel());
+  clock.advance_seconds(10.0);  // past the expiring job's deadline
+  service.resume();
+  EXPECT_EQ(done.wait().status, JobStatus::kDone);
+  EXPECT_EQ(expired.wait().status, JobStatus::kExpired);
+  detail[cancelled.id()] = "cancelled";
+  detail[expired.id()] = "expired";
+  detail[done.id()] = "";
+  service.pause();
+  std::vector<JobHandle> aborted;
+  for (int i = 0; i < 3; ++i) aborted.push_back(submit());
+  service.shutdown(ShutdownMode::kAbort);
+  for (const JobHandle& h : aborted) {
+    EXPECT_EQ(h.status(), JobStatus::kCancelled);
+    detail[h.id()] = "cancelled";
+  }
+
+  EXPECT_EQ(tracer.dropped(), 0u);
+  std::map<JobId, int> queue_spans, job_spans;
+  for (const obs::Span& s : tracer.spans()) {
+    if (s.phase != obs::Phase::kQueue && s.phase != obs::Phase::kJob)
+      continue;
+    ++(s.phase == obs::Phase::kQueue ? queue_spans : job_spans)[s.job];
+    ASSERT_TRUE(detail.count(s.job)) << s.job;
+    EXPECT_EQ(std::string(s.detail), detail[s.job])
+        << "job " << s.job << " " << obs::phase_name(s.phase);
+  }
+  for (const auto& [job, expected] : detail) {
+    EXPECT_EQ(queue_spans[job], 1) << "job " << job << " (" << expected << ")";
+    EXPECT_EQ(job_spans[job], 1) << "job " << job << " (" << expected << ")";
+  }
 }
 
 // ---------------------------------------------------------------------

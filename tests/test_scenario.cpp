@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fingerprint.h"
 #include "exec/state_vector_backend.h"
 #include "obs/clock.h"
 #include "obs/journal.h"
@@ -84,6 +85,10 @@ TEST(ScenarioTest, JournalIsBitwiseIdenticalAcrossWorkerCounts) {
 
   const std::string serial_bytes = serial_journal.str();
   ASSERT_EQ(serial_bytes, wide_journal.str());
+  // Pins the journal bytes across commits, not just across worker
+  // counts: a deliberate format or RNG-stream change updates this value.
+  EXPECT_EQ(fnv::bytes(serial_bytes.data(), serial_bytes.size(), fnv::kOffset),
+            0xa5ba8cbe8f797bd1ull);
 
   // The recorded run is invariant-clean and SLO-analyzable.
   const obs::Journal::Parsed parsed = parse_str(serial_bytes);

@@ -264,7 +264,7 @@ TEST(FairShareQueue, BatchesSamePlanKeyAcrossTenants) {
   for (const Record& r : pop.batch) ids.push_back(r->id);
   EXPECT_EQ(ids, (std::vector<JobId>{1, 2, 4}));
   for (const Record& r : pop.batch)
-    EXPECT_EQ(r->current_status(), JobStatus::kRunning);
+    EXPECT_EQ(r->current_status(), JobStatus::kQueued);
   // Job 3 (key 88) is untouched and pops next.
   EXPECT_EQ(drain_ids(queue, 8), (std::vector<JobId>{3}));
 }
@@ -322,7 +322,7 @@ TEST(FairShareQueue, ExpiredJobsAreDivertedNotDispatched) {
   auto pop = queue.pop_batch(4, std::chrono::steady_clock::now());
   ASSERT_EQ(pop.expired.size(), 1u);
   EXPECT_EQ(pop.expired[0]->id, 1u);
-  EXPECT_EQ(pop.expired[0]->current_status(), JobStatus::kExpired);
+  EXPECT_EQ(pop.expired[0]->current_status(), JobStatus::kQueued);
   ASSERT_EQ(pop.batch.size(), 1u);
   EXPECT_EQ(pop.batch[0]->id, 2u);
 }
@@ -551,6 +551,79 @@ TEST(JobService, DeadlineExpiresQueuedJobs) {
   EXPECT_EQ(fine.wait().status, JobStatus::kDone);
   service.shutdown(ShutdownMode::kDrain);
   EXPECT_EQ(service.telemetry().expired, 1u);
+}
+
+TEST(JobService, WokenClientSeesItsJobCounted) {
+  // Every terminal edge commits its counters before it wakes the job's
+  // waiters, so a client that reads telemetry() the moment wait()
+  // returns finds its job already counted. The 2000-job backlog keeps
+  // an expiry or abort edge busy with the other jobs after the first
+  // job's wake-up, which is the window an early wake would expose.
+  enum class Path { kExpire, kAbort, kCancel, kDone };
+  for (const Path path :
+       {Path::kExpire, Path::kAbort, Path::kCancel, Path::kDone}) {
+    SCOPED_TRACE(static_cast<int>(path));
+    obs::ManualClock clock(0);
+    const StateVectorBackend backend;
+    ServiceOptions options;
+    options.workers = 1;
+    options.start_paused = true;
+    options.clock = &clock;
+    JobService service(backend, options);
+    std::vector<JobHandle> handles;
+    for (int i = 0; i < 2000; ++i) {
+      JobSpec spec = JobSpec(qrc_circuit(0.1)).with_shots(4);
+      if (path == Path::kExpire) spec.with_deadline(1.0);
+      handles.push_back(service.submit(std::move(spec)));
+    }
+    JobStatus status = JobStatus::kQueued;
+    ServiceTelemetry seen;
+    std::thread waiter([&] {
+      status = handles.front().wait().status;
+      seen = service.telemetry();
+    });
+    // Give the waiter time to block first; the assertions below hold
+    // either way.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    switch (path) {
+      case Path::kExpire:
+        clock.advance_seconds(2.0);
+        service.resume();
+        break;
+      case Path::kAbort:
+        service.shutdown(ShutdownMode::kAbort);
+        break;
+      case Path::kCancel:
+        EXPECT_TRUE(handles.front().cancel());
+        break;
+      case Path::kDone:
+        service.resume();
+        break;
+    }
+    waiter.join();
+    service.shutdown(ShutdownMode::kAbort);
+
+    EXPECT_EQ(seen.submitted, seen.queued + seen.running + seen.completed +
+                                  seen.failed + seen.cancelled + seen.expired);
+    switch (path) {
+      case Path::kExpire:  // one pop expires the whole backlog
+        EXPECT_EQ(status, JobStatus::kExpired);
+        EXPECT_EQ(seen.expired, 2000u);
+        break;
+      case Path::kAbort:  // one edge cancels the whole backlog
+        EXPECT_EQ(status, JobStatus::kCancelled);
+        EXPECT_EQ(seen.cancelled, 2000u);
+        break;
+      case Path::kCancel:
+        EXPECT_EQ(status, JobStatus::kCancelled);
+        EXPECT_EQ(seen.cancelled, 1u);
+        break;
+      case Path::kDone:
+        EXPECT_EQ(status, JobStatus::kDone);
+        EXPECT_GE(seen.completed, 1u);
+        break;
+    }
+  }
 }
 
 TEST(JobService, ShutdownDrainRunsEverythingAbortCancelsQueued) {

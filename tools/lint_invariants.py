@@ -53,12 +53,18 @@ turns those into CI failures. Rules (see docs/ARCHITECTURE.md
 
   job-state        In src/serve/, bans direct writes to a JobRecord's
                    `status` field outside JobRecord::transition_locked
-                   (src/serve/job.h). The transition helper is the one
-                   place the job state machine moves AND the flight
-                   recorder (obs/journal.h) observes the edge; a direct
-                   write elsewhere would mutate state invisibly to the
-                   journal, silently breaking the replay contract
+                   (src/serve/job.h), and calls of transition_locked
+                   outside src/serve/service.cpp. The transition helper
+                   is the one place the job state machine moves AND the
+                   flight recorder (obs/journal.h) observes the edge; a
+                   direct write elsewhere would mutate state invisibly
+                   to the journal, silently breaking the replay contract
                    (bitwise-identical journals for any worker count).
+                   Its one caller, ServiceCore::transition, also commits
+                   the edge's balance-law counters and spans before it
+                   wakes waiters; a call from the queue (or anywhere
+                   else in src/serve/) would take lifecycle work back
+                   out of that one emission point.
 
 Suppression: append `// lint:allow(<rule>): <why>` to the offending line,
 or put it on its own line directly above (for lines with no room under
@@ -170,6 +176,13 @@ JOB_STATE_SCOPE = "src/serve/"
 # declarations like `JobStatus status = ...` (the field name there is
 # preceded by its type, not by `.`/`->`/line start).
 JOB_STATE_RE = re.compile(r"(?:\.|->|^\s*)status\s*=(?![=])")
+
+# The one file allowed to call JobRecord::transition_locked.
+JOB_TRANSITION_HOME = "src/serve/service.cpp"
+# A call of transition_locked; its definition (`void transition_locked(`)
+# does not match.
+JOB_TRANSITION_CALL_RE = re.compile(
+    r"^(?!.*\bvoid\s+transition_locked\b).*\btransition_locked\s*\(")
 
 UNORDERED_DECL_RE = re.compile(
     r"\bunordered_(?:map|set|multimap|multiset)\s*<[^;(){]*>\s+(\w+)\s*[;{=]")
@@ -298,6 +311,14 @@ def lint_file(path: pathlib.Path, findings: list[Finding]) -> None:
                        "through JobRecord::transition_locked so the "
                        "flight-recorder journal observes the edge "
                        "(src/serve/job.h)")
+            if (rel != JOB_TRANSITION_HOME
+                    and JOB_TRANSITION_CALL_RE.search(line)):
+                report(lineno, "job-state",
+                       "transition_locked called outside "
+                       "ServiceCore::transition; every lifecycle edge "
+                       "must go through it so counters commit and spans "
+                       "record before waiters wake "
+                       "(src/serve/service.cpp)")
 
     # -- raw-sync ----------------------------------------------------------
     if rel != RAW_SYNC_HOME:
