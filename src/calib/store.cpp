@@ -6,15 +6,11 @@
 
 namespace qs {
 
-CalibrationStore::CalibrationStore(std::size_t history_capacity)
-    : capacity_(history_capacity) {
+CalibrationStore::CalibrationStore(std::size_t history_capacity,
+                                   obs::MetricsRegistry* registry,
+                                   obs::Tracer* tracer)
+    : capacity_(history_capacity), registry_(registry), tracer_(tracer) {
   require(capacity_ >= 1, "CalibrationStore: capacity must be >= 1");
-}
-
-void CalibrationStore::attach_observability(obs::MetricsRegistry* registry,
-                                            obs::Tracer* tracer) {
-  registry_ = registry;
-  tracer_ = tracer;
   if (registry_ != nullptr) {
     published_id_ = registry_->counter("calib.store.published");
     retained_id_ = registry_->gauge("calib.store.retained");

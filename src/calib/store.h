@@ -27,9 +27,15 @@ class CalibrationStore {
  public:
   using Ptr = std::shared_ptr<const CalibrationSnapshot>;
 
+  static constexpr std::size_t kDefaultCapacity = 64;
+
   /// `history_capacity` bounds retained epochs (oldest evicted first);
-  /// must be >= 1 so latest() always survives.
-  explicit CalibrationStore(std::size_t history_capacity = 64);
+  /// must be >= 1 so latest() always survives. Publishes bump
+  /// `calib.store.published` in `registry` and record a service-level
+  /// kRecalibrate span (epoch attribute) in `tracer`; either may be null.
+  explicit CalibrationStore(std::size_t history_capacity = kDefaultCapacity,
+                            obs::MetricsRegistry* registry = nullptr,
+                            obs::Tracer* tracer = nullptr);
 
   /// Publishes a snapshot as the new latest. Validates it and requires
   /// its epoch to strictly exceed the current latest epoch (versioned
@@ -50,22 +56,13 @@ class CalibrationStore {
   std::size_t capacity() const { return capacity_; }
   std::size_t published() const;     ///< lifetime publish count
 
-  /// Wires this store into a subsystem's observability: publishes bump
-  /// `calib.store.published` in `registry` and record a service-level
-  /// kRecalibrate span (epoch attribute) in `tracer`. Either may be
-  /// null. Call before concurrent publishing starts (the serve layer
-  /// attaches at construction); counters count publishes since attach.
-  void attach_observability(obs::MetricsRegistry* registry,
-                            obs::Tracer* tracer);
-
  private:
   const std::size_t capacity_;
-  /// Observability sinks; written once by attach_observability before
-  /// concurrent use, then read-only on the publish path.
-  obs::Tracer* tracer_ = nullptr;
+  /// Observability sinks (non-owning, nullable), fixed at construction.
+  obs::MetricsRegistry* const registry_;
+  obs::Tracer* const tracer_;
   obs::CounterId published_id_;
   obs::GaugeId retained_id_;
-  obs::MetricsRegistry* registry_ = nullptr;
   /// Leaf lock: snapshot validation and allocation happen before it is
   /// taken, so publishers never hold it across heavy work.
   mutable Mutex mutex_;

@@ -8,8 +8,8 @@
 
 namespace qs {
 
-/// Starts timing on construction; `seconds()`/`millis()` report elapsed
-/// time on the injected clock; `reset()` restarts. Default-constructed
+/// Starts timing on construction; `seconds()` reports elapsed time on
+/// the injected clock; `reset()` restarts. Default-constructed
 /// stopwatches run on the real steady clock.
 class Stopwatch {
  public:
@@ -23,9 +23,6 @@ class Stopwatch {
   double seconds() const {
     return obs::seconds_between(start_, clock_->now());
   }
-
-  /// Elapsed milliseconds.
-  double millis() const { return seconds() * 1e3; }
 
  private:
   const obs::Clock* clock_;  ///< non-owning; must outlive the stopwatch

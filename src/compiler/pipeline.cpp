@@ -35,13 +35,6 @@ PassManager& PassManager::add(std::unique_ptr<Pass> pass) {
   return *this;
 }
 
-std::vector<std::string> PassManager::pass_names() const {
-  std::vector<std::string> names;
-  names.reserve(passes_.size());
-  for (const auto& pass : passes_) names.push_back(pass->name());
-  return names;
-}
-
 std::shared_ptr<const TranspiledCircuit> PassManager::run(
     const Circuit& logical, const Processor& proc) const {
   TranspileContext ctx(logical, proc, options_);

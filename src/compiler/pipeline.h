@@ -131,7 +131,6 @@ class PassManager {
 
   const TranspileOptions& options() const { return options_; }
   std::size_t size() const { return passes_.size(); }
-  std::vector<std::string> pass_names() const;
 
   /// Runs every pass over a fresh context and freezes the artifact.
   std::shared_ptr<const TranspiledCircuit> run(const Circuit& logical,

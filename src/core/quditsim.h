@@ -23,7 +23,6 @@
 
 // Gates, circuits, noise, dynamics.
 #include "circuit/circuit.h"       // IWYU pragma: export
-#include "circuit/executor.h"      // IWYU pragma: export
 #include "circuit/state_prep.h"    // IWYU pragma: export
 #include "dynamics/hamiltonian.h"  // IWYU pragma: export
 #include "dynamics/lindblad.h"     // IWYU pragma: export
@@ -35,7 +34,6 @@
 #include "noise/channels.h"        // IWYU pragma: export
 #include "noise/mitigation.h"      // IWYU pragma: export
 #include "noise/noise_model.h"     // IWYU pragma: export
-#include "noise/noisy_executor.h"  // IWYU pragma: export
 
 // Execution subsystem (backends + sessions).
 #include "exec/exec.h"             // IWYU pragma: export
@@ -47,7 +45,6 @@
 #include "calib/calib.h"           // IWYU pragma: export
 
 // Hardware platform and compilation.
-#include "compiler/compile.h"          // IWYU pragma: export
 #include "compiler/passes.h"           // IWYU pragma: export
 #include "compiler/pipeline.h"         // IWYU pragma: export
 #include "compiler/transpile_cache.h"  // IWYU pragma: export

@@ -62,8 +62,7 @@ std::shared_ptr<const CompiledCircuit> Backend::resolve_plan(
     // Self-compile fallback: no trusted cached plan, lower here.
     obs::SpanTimer span = request.trace.span(obs::Phase::kLower);
     span.set_detail("self-compile");
-    plan = std::make_shared<const CompiledCircuit>(routed, noise,
-                                                   request.plan_options);
+    plan = std::make_shared<const CompiledCircuit>(routed, noise);
   }
   // A parametric plan executes at this request's binding. The shared
   // structural artifact (or one bound for a different request) re-binds

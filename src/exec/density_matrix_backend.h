@@ -27,9 +27,9 @@ class DensityMatrixBackend final : public Backend {
 
   /// Stateful primitive: applies every gate of `circuit` to `rho`
   /// (with `noise`'s channels after each gate) after validating that the
-  /// space dimension stays within the dense-allocation cap. Shared by the
-  /// request path, stepped evolutions (e.g. SQED quench series), and the
-  /// legacy run()/run_noisy shims.
+  /// space dimension stays within the dense-allocation cap. The
+  /// gate-by-gate reference that compiled plans are pinned to
+  /// (tests/test_plan.cpp), and the stepper of SQED's quench series.
   static void apply(const Circuit& circuit, DensityMatrix& rho,
                     const NoiseModel& noise = NoiseModel(),
                     std::size_t max_dim = kDefaultMaxDenseDim);

@@ -96,11 +96,6 @@ struct ExecutionRequest {
   /// model -- the session guarantees the pairing; set it manually only
   /// with the same care.
   std::shared_ptr<const CompiledCircuit> plan;
-  /// Lowering options used whenever the backend compiles a plan itself
-  /// (no trusted `plan` attached -- see above). ExecutionSession
-  /// propagates its SessionOptions::plan_options here so an opt-out of
-  /// fusion holds on every path.
-  PlanOptions plan_options;
   /// When set and the request samples shots, ExecutionSession applies
   /// calibrated per-site confusion-matrix readout mitigation to the
   /// returned histogram (factorized product inversion -- never the dense
@@ -155,17 +150,8 @@ struct ExecutionRequest {
     plan = nullptr;
     return *this;
   }
-  ExecutionRequest& with_transpiled(
-      std::shared_ptr<const TranspiledCircuit> t) {
-    transpiled = std::move(t);
-    return *this;
-  }
   ExecutionRequest& with_max_dim(std::size_t dim) {
     max_dim = dim;
-    return *this;
-  }
-  ExecutionRequest& with_plan(std::shared_ptr<const CompiledCircuit> p) {
-    plan = std::move(p);
     return *this;
   }
   ExecutionRequest& with_readout_mitigation(

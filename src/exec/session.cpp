@@ -59,9 +59,14 @@ void apply_readout_mitigation(const ExecutionRequest& request,
 ExecutionSession::ExecutionSession(const Backend& backend,
                                    SessionOptions options)
     : backend_(backend),
-      options_(options),
-      plan_cache_(options.plan_cache_capacity),
-      transpile_cache_(options.transpile_cache_capacity) {
+      options_(std::move(options)),
+      plan_cache_(options_.shared_plan_cache != nullptr
+                      ? options_.shared_plan_cache
+                      : std::make_shared<PlanCache>(kPlanCacheCapacity)),
+      transpile_cache_(options_.shared_transpile_cache != nullptr
+                           ? options_.shared_transpile_cache
+                           : std::make_shared<TranspileCache>(
+                                 kTranspileCacheCapacity)) {
   if (options_.threads == 0) options_.threads = default_thread_count();
 }
 
@@ -70,12 +75,7 @@ void ExecutionSession::assign_seed(ExecutionRequest& request) {
     request.seed = split_seed(options_.seed, next_stream_++);
 }
 
-void ExecutionSession::attach_plan(ExecutionRequest& request) {
-  // The session's lowering options hold on every path, including the
-  // uncached ones where the backend compiles for itself.
-  request.plan_options = options_.plan_options;
-  const bool plan_caching =
-      options_.shared_plan_cache || options_.plan_cache_capacity > 0;
+void ExecutionSession::attach_plan(ExecutionRequest& request) const {
   static const NoiseModel kNoiseless;
   const NoiseModel* nm = backend_.noise_model();
   const NoiseModel& noise = nm != nullptr ? *nm : kNoiseless;
@@ -84,46 +84,35 @@ void ExecutionSession::attach_plan(ExecutionRequest& request) {
     // Hardware-targeted: transpilation is deterministic given the
     // request triple, so the artifact -- and the plan lowered from its
     // physical circuit -- are resolved through the caches and shared.
-    const bool transpile_caching = options_.shared_transpile_cache ||
-                                   options_.transpile_cache_capacity > 0;
     if (request.transpiled == nullptr) {
       // A caller plan without its artifact cannot have been lowered from
       // the routed circuit (backends would rightly distrust it, and once
       // the session attaches an artifact they could not): drop it before
       // resolving, so the artifact is always paired with its own plan.
       request.plan = nullptr;
-      // With transpile caching opted out the artifact is still resolved
-      // (uncached) here: transpilation is deterministic, so the physical
-      // circuit's plan remains cacheable either way.
       obs::SpanTimer span = request.trace.span(obs::Phase::kTranspile);
       bool hit = false;
-      request.transpiled =
-          transpile_caching
-              ? tcache().get_or_transpile(request.circuit,
-                                          *request.processor,
-                                          request.transpile_options, &hit)
-              : transpile(request.circuit, *request.processor,
-                          request.transpile_options);
-      if (transpile_caching) span.set_cache_hit(hit);
+      request.transpiled = transpile_cache_->get_or_transpile(
+          request.circuit, *request.processor, request.transpile_options,
+          &hit);
+      span.set_cache_hit(hit);
     }
-    if (request.transpiled != nullptr && request.plan == nullptr &&
-        plan_caching) {
+    if (request.plan == nullptr) {
       obs::SpanTimer span = request.trace.span(obs::Phase::kLower);
       bool hit = false;
-      request.plan = cache().get_or_compile(request.transpiled->physical,
-                                            noise, options_.plan_options,
-                                            &hit);
+      request.plan = plan_cache_->get_or_compile(
+          request.transpiled->physical, noise, PlanOptions{}, &hit);
       span.set_cache_hit(hit);
     }
     return;
   }
 
   // Explicit plans are the caller's responsibility -- bypass the cache.
-  if (request.plan != nullptr || !plan_caching) return;
+  if (request.plan != nullptr) return;
   obs::SpanTimer span = request.trace.span(obs::Phase::kLower);
   bool hit = false;
-  request.plan = cache().get_or_compile(request.circuit, noise,
-                                        options_.plan_options, &hit);
+  request.plan = plan_cache_->get_or_compile(request.circuit, noise,
+                                             PlanOptions{}, &hit);
   span.set_cache_hit(hit);
 }
 

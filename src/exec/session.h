@@ -30,24 +30,15 @@ struct SessionOptions {
   /// it by submission order (split_seed(seed, k) for the k-th auto-seeded
   /// request of the session's lifetime).
   std::uint64_t seed = 0x51e55edbadc0ffeeull;
-  /// Compiled-plan cache entries, keyed by (circuit, noise, options)
-  /// fingerprints. 0 disables caching (every request compiles afresh).
-  /// Ignored when `shared_plan_cache` is set.
-  std::size_t plan_cache_capacity = 32;
-  /// Lowering options for session-compiled plans.
-  PlanOptions plan_options;
   /// When set, the session resolves plans through this externally owned
-  /// cache instead of a private one, so several sessions (e.g. the serve
-  /// layer's worker pool) share compiled plans. PlanCache is thread-safe,
-  /// so the sessions may live on different threads.
+  /// cache instead of a private one (ExecutionSession::kPlanCacheCapacity
+  /// entries), so several sessions (e.g. the serve layer's worker pool)
+  /// share compiled plans. PlanCache is thread-safe, so the sessions may
+  /// live on different threads.
   std::shared_ptr<PlanCache> shared_plan_cache;
-  /// Transpile-artifact cache entries for hardware-targeted requests,
-  /// keyed by (circuit, processor, options) fingerprints. 0 disables
-  /// caching (every such request transpiles afresh). Ignored when
-  /// `shared_transpile_cache` is set.
-  std::size_t transpile_cache_capacity = 16;
   /// Externally owned transpile cache shared across sessions (serve's
-  /// workers); same contract as shared_plan_cache.
+  /// workers); same contract as shared_plan_cache. The private one holds
+  /// ExecutionSession::kTranspileCacheCapacity artifacts.
   std::shared_ptr<TranspileCache> shared_transpile_cache;
 };
 
@@ -56,6 +47,13 @@ struct SessionOptions {
 /// provides is internal.
 class ExecutionSession {
  public:
+  /// Entries of the session's own caches (when SessionOptions shares
+  /// none): compiled plans keyed by (circuit, noise, options)
+  /// fingerprints, and transpile artifacts keyed by (circuit, processor,
+  /// options) fingerprints.
+  static constexpr std::size_t kPlanCacheCapacity = 32;
+  static constexpr std::size_t kTranspileCacheCapacity = 16;
+
   explicit ExecutionSession(const Backend& backend,
                             SessionOptions options = {});
 
@@ -72,6 +70,13 @@ class ExecutionSession {
   /// batch is bitwise identical run serially or on N threads.
   std::vector<ExecutionResult> submit_batch(
       std::vector<ExecutionRequest> requests);
+
+  /// Attaches the cached transpile artifact (hardware-targeted requests)
+  /// and the cached compiled plan to the request; a request that already
+  /// carries a plan (and, when hardware-targeted, its artifact) is left
+  /// as is. submit and submit_batch call it per request; the serve layer
+  /// calls it once per batch of same-plan-key jobs. Thread-safe.
+  void attach_plan(ExecutionRequest& request) const;
 
   // --- telemetry ----------------------------------------------------------
 
@@ -95,35 +100,22 @@ class ExecutionSession {
   /// repeated circuits -- e.g. the same ansatz re-run across a parameter
   /// sweep's shot batches -- compile once and execute from the cached
   /// plan, while distinct circuits compile concurrently.
-  const PlanCache& plan_cache() const { return cache(); }
+  const PlanCache& plan_cache() const { return *plan_cache_; }
 
   /// The transpile cache in use (telemetry: hits/misses/size). A repeated
   /// hardware-targeted request transpiles exactly once; later submissions
   /// hit this cache and reuse the artifact (and its compiled plan).
-  const TranspileCache& transpile_cache() const { return tcache(); }
+  const TranspileCache& transpile_cache() const { return *transpile_cache_; }
 
  private:
   /// Replaces kAutoSeed with the next derived stream seed.
   void assign_seed(ExecutionRequest& request);
 
-  /// Attaches the cached transpile artifact (hardware-targeted requests)
-  /// and/or the cached compiled plan to the request.
-  void attach_plan(ExecutionRequest& request);
-
-  /// The shared cache when configured, the private one otherwise.
-  PlanCache& cache() const {
-    return options_.shared_plan_cache ? *options_.shared_plan_cache
-                                      : plan_cache_;
-  }
-  TranspileCache& tcache() const {
-    return options_.shared_transpile_cache ? *options_.shared_transpile_cache
-                                           : transpile_cache_;
-  }
-
   const Backend& backend_;
   SessionOptions options_;
-  mutable PlanCache plan_cache_;
-  mutable TranspileCache transpile_cache_;
+  /// The shared caches from options_, or the session's own.
+  const std::shared_ptr<PlanCache> plan_cache_;
+  const std::shared_ptr<TranspileCache> transpile_cache_;
   std::uint64_t next_stream_ = 0;
   std::size_t requests_executed_ = 0;
   double total_backend_seconds_ = 0.0;

@@ -2,7 +2,10 @@
 #ifndef QS_EXEC_STATE_VECTOR_BACKEND_H
 #define QS_EXEC_STATE_VECTOR_BACKEND_H
 
+#include <cstddef>
+
 #include "exec/backend.h"
+#include "linalg/matrix.h"
 #include "qudit/state_vector.h"
 
 namespace qs {
@@ -18,10 +21,16 @@ class StateVectorBackend final : public Backend {
   ExecutionResult execute(const ExecutionRequest& request) const override;
 
   /// Stateful primitive: applies every gate of `circuit` to `psi` in
-  /// order. Shared by the request path, circuit_unitary, and the legacy
-  /// run()/run_from_vacuum shims.
+  /// order. The gate-by-gate reference that compiled plans are pinned to
+  /// (tests/test_plan.cpp), and the engine of circuit_unitary.
   static void apply(const Circuit& circuit, StateVector& psi);
 };
+
+/// Builds the full-space unitary of a circuit (for small spaces only;
+/// dimension is validated against `max_dim` to catch accidents). A
+/// dense-synthesis utility, not an execution entry point.
+Matrix circuit_unitary(const Circuit& circuit,
+                       std::size_t max_dim = kDefaultMaxDenseDim);
 
 }  // namespace qs
 

@@ -37,8 +37,9 @@ class TrajectoryBackend final : public Backend {
   const NoiseModel& noise() const { return noise_; }
 
   /// Stateful primitive: one trajectory -- gates applied exactly, each of
-  /// `noise`'s channels sampled to a single Kraus branch. Shared by the
-  /// request path and the legacy run_trajectory shim.
+  /// `noise`'s channels sampled to a single Kraus branch. The
+  /// gate-by-gate reference that compiled plans are pinned to, RNG order
+  /// included (tests/test_plan.cpp).
   static void apply(const Circuit& circuit, StateVector& psi,
                     const NoiseModel& noise, Rng& rng);
 

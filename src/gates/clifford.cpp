@@ -14,14 +14,6 @@ int mod(int a, int d) { return ((a % d) + d) % d; }
 
 }  // namespace
 
-bool WeylLabel::is_identity() const {
-  for (int v : x)
-    if (v != 0) return false;
-  for (int v : z)
-    if (v != 0) return false;
-  return true;
-}
-
 std::string WeylLabel::to_string() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < x.size(); ++i) {

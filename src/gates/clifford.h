@@ -27,7 +27,6 @@ struct WeylLabel {
   std::vector<int> x;  ///< X exponents per site
   std::vector<int> z;  ///< Z exponents per site
 
-  bool is_identity() const;
   std::string to_string() const;
 };
 

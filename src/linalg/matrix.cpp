@@ -206,11 +206,6 @@ cplx trace_of_product(const Matrix& a, const Matrix& b) {
   return t;
 }
 
-bool approx_equal(const Matrix& a, const Matrix& b, double tol) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  return max_abs_diff(a, b) < tol;
-}
-
 cplx inner(const std::vector<cplx>& a, const std::vector<cplx>& b) {
   require(a.size() == b.size(), "inner: size mismatch");
   cplx s = 0.0;

@@ -117,9 +117,6 @@ double max_abs_diff(const Matrix& a, const Matrix& b);
 /// entries.
 cplx trace_of_product(const Matrix& a, const Matrix& b);
 
-/// True when shapes match and max_abs_diff < tol.
-bool approx_equal(const Matrix& a, const Matrix& b, double tol = 1e-9);
-
 /// Inner product <a|b> of two complex vectors of equal length.
 cplx inner(const std::vector<cplx>& a, const std::vector<cplx>& b);
 

@@ -110,8 +110,4 @@ RMatrix ridge_fit(const RMatrix& x, const RMatrix& y, double lambda) {
   return cholesky_solve(gram, xt * y);
 }
 
-RMatrix ridge_predict(const RMatrix& x, const RMatrix& w) {
-  return x * w;
-}
-
 }  // namespace qs

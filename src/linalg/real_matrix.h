@@ -62,9 +62,6 @@ RMatrix cholesky_solve(const RMatrix& a, const RMatrix& b);
 /// lambda = 0 is allowed; a small jitter keeps the system well posed.
 RMatrix ridge_fit(const RMatrix& x, const RMatrix& y, double lambda);
 
-/// Applies a fitted readout: returns X W (predictions, samples x outputs).
-RMatrix ridge_predict(const RMatrix& x, const RMatrix& w);
-
 }  // namespace qs
 
 #endif  // QS_LINALG_REAL_MATRIX_H

@@ -91,7 +91,7 @@ struct JobSpec {
   /// TranspiledCircuit through the service's TranspileCache and may be
   /// batched together. When the service has a published calibration, the
   /// job is pinned to a calibrated view of this device at submission
-  /// (see ServiceOptions::calibration and Service::recalibrate).
+  /// (see JobService::recalibrate).
   const Processor* processor = nullptr;
   TranspileOptions transpile_options;
   /// Apply calibrated per-site readout mitigation to the job's sampled

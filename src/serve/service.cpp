@@ -33,6 +33,11 @@ const char* to_string(JobStatus status) {
 namespace detail {
 namespace {
 
+/// Capacity of the transpile-artifact cache the workers share
+/// (hardware-targeted jobs transpile once per (circuit, processor,
+/// options) shape).
+constexpr std::size_t kTranspileCacheCapacity = 32;
+
 /// FNV-1a of a tenant name: selects the tenant's seed stream.
 std::uint64_t tenant_hash(const std::string& tenant) {
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -78,68 +83,58 @@ struct ServiceCore {
   ServiceCore(const Backend& b, const ServiceOptions& o)
       : backend(b),
         opts(o),
-        owned_registry(o.registry == nullptr
-                           ? std::make_unique<obs::MetricsRegistry>(
-                                 o.workers + 2)
-                           : nullptr),
-        registry(o.registry != nullptr ? o.registry : owned_registry.get()),
+        registry(o.workers + 2),
         tracer(o.tracer),
         time_source(o.clock != nullptr
                         ? o.clock
                   : o.tracer != nullptr ? &o.tracer->time_source()
                                         : &obs::SteadyClock::instance()),
         plan_cache(
-            std::make_shared<PlanCache>(o.plan_cache_capacity, registry)),
+            std::make_shared<PlanCache>(o.plan_cache_capacity, &registry)),
         transpile_cache(std::make_shared<TranspileCache>(
-            o.transpile_cache_capacity, registry)),
-        calib_store(o.calibration_store != nullptr
-                        ? o.calibration_store
-                        : std::make_shared<CalibrationStore>()),
+            kTranspileCacheCapacity, &registry)),
+        calib_store(CalibrationStore::kDefaultCapacity, &registry, tracer),
         store(o.result_store_capacity, o.result_ttl_seconds, time_source,
-              registry),
+              &registry),
         paused(o.start_paused) {
     plan_key_suffix = fingerprint(noise()) +
                       0x9e3779b97f4a7c15ull *
-                          static_cast<std::uint64_t>(
-                              opts.plan_options.bits() + 1);
-    submitted_id = registry->counter("serve.jobs.submitted");
-    completed_id = registry->counter("serve.jobs.completed");
-    failed_id = registry->counter("serve.jobs.failed");
-    cancelled_id = registry->counter("serve.jobs.cancelled");
-    expired_id = registry->counter("serve.jobs.expired");
-    recalibrations_id = registry->counter("serve.recalibrations");
-    stale_hits_id = registry->counter("serve.calib.stale_hits");
+                          static_cast<std::uint64_t>(PlanOptions{}.bits() + 1);
+    submitted_id = registry.counter("serve.jobs.submitted");
+    completed_id = registry.counter("serve.jobs.completed");
+    failed_id = registry.counter("serve.jobs.failed");
+    cancelled_id = registry.counter("serve.jobs.cancelled");
+    expired_id = registry.counter("serve.jobs.expired");
+    recalibrations_id = registry.counter("serve.recalibrations");
+    stale_hits_id = registry.counter("serve.calib.stale_hits");
     kernel_specialized_id =
-        registry->counter("exec.kernels.dispatch.specialized");
-    kernel_generic_id = registry->counter("exec.kernels.dispatch.generic");
-    kernel_scalar_id = registry->counter("exec.kernels.dispatch.scalar");
-    kernel_batched_id = registry->counter("exec.kernels.dispatch.batched");
-    queued_id = registry->gauge("serve.jobs.queued");
-    running_id = registry->gauge("serve.jobs.running");
-    batch_hist_id = registry->histogram(
+        registry.counter("exec.kernels.dispatch.specialized");
+    kernel_generic_id = registry.counter("exec.kernels.dispatch.generic");
+    kernel_scalar_id = registry.counter("exec.kernels.dispatch.scalar");
+    kernel_batched_id = registry.counter("exec.kernels.dispatch.batched");
+    queued_id = registry.gauge("serve.jobs.queued");
+    running_id = registry.gauge("serve.jobs.running");
+    batch_hist_id = registry.histogram(
         "serve.batch.jobs", obs::MetricsRegistry::pow2_bounds(1024.0));
     queue_wait_id =
-        registry->histogram("serve.queue.wait_seconds",
-                            obs::MetricsRegistry::latency_bounds_seconds());
+        registry.histogram("serve.queue.wait_seconds",
+                           obs::MetricsRegistry::latency_bounds_seconds());
     latency_id =
-        registry->histogram("serve.job.latency_seconds",
-                            obs::MetricsRegistry::latency_bounds_seconds());
-    calib_store->attach_observability(registry, tracer);
+        registry.histogram("serve.job.latency_seconds",
+                           obs::MetricsRegistry::latency_bounds_seconds());
   }
 
   using Record = std::shared_ptr<JobRecord>;
 
   const Backend& backend;  ///< used only while workers run (see shutdown)
   const ServiceOptions opts;
-  /// Private registry when ServiceOptions did not inject one; sized to
-  /// the thread population (workers + client threads).
-  const std::unique_ptr<obs::MetricsRegistry> owned_registry;
-  obs::MetricsRegistry* const registry;  ///< never null
-  obs::Tracer* const tracer;             ///< null = tracing off
+  /// Sized to the thread population (workers + client threads).
+  obs::MetricsRegistry registry;
+  obs::Tracer* const tracer;            ///< null = tracing off
   const obs::Clock* const time_source;  ///< never null
   const std::shared_ptr<PlanCache> plan_cache;
   const std::shared_ptr<TranspileCache> transpile_cache;
-  const std::shared_ptr<CalibrationStore> calib_store;
+  CalibrationStore calib_store;
   ResultStore store;
   /// Constant (noise, options) contribution to every job's plan key,
   /// folded once so submit only fingerprints the circuit.
@@ -204,7 +199,7 @@ struct ServiceCore {
     if (jobs.empty()) return;
     const std::size_t n = jobs.size();
     {
-      obs::MetricsTxn txn(*registry);
+      obs::MetricsTxn txn(registry);
       const auto signed_n = static_cast<std::int64_t>(n);
       switch (to) {
         case JobStatus::kQueued:
@@ -333,7 +328,7 @@ struct ServiceCore {
   /// with handles (which only read the frozen seed/id fields).
   void handle_staleness(const std::vector<Record>& batch)
       QS_EXCLUDES(mutex) {
-    const std::uint64_t current = calib_store->latest_epoch();
+    const std::uint64_t current = calib_store.latest_epoch();
     if (current == 0) return;
     CalibrationStore::Ptr latest;
     std::size_t stale = 0;
@@ -348,7 +343,7 @@ struct ServiceCore {
       ++stale;
       if (opts.staleness != CalibrationStalenessPolicy::kRefreshAtDispatch)
         continue;
-      if (latest == nullptr) latest = calib_store->latest();
+      if (latest == nullptr) latest = calib_store.latest();
       try {
         if (r->request.processor != nullptr) {
           r->calibrated_proc =
@@ -359,22 +354,22 @@ struct ServiceCore {
           r->request.readout_calibration = latest;
         r->calibration = latest;
       } catch (...) {
-        // The latest snapshot does not fit this job's device (e.g. a
-        // shared store fed by a different processor). Execute with the
-        // frozen view instead of letting the exception escape the
-        // worker thread and terminate the process.
+        // The latest snapshot does not fit this job's device
+        // (recalibrate() published a snapshot for a different processor).
+        // Execute with the frozen view instead of letting the exception
+        // escape the worker thread and terminate the process.
       }
     }
-    if (stale > 0) registry->add(stale_hits_id, stale);
+    if (stale > 0) registry.add(stale_hits_id, stale);
   }
 
   /// Runs one batch on the worker's session. All jobs share `plan_key`,
-  /// so the transpile artifact (hardware-targeted jobs) and the compiled
-  /// plan are resolved once and attached to every request. On a
-  /// batch-level exception the jobs are retried one at a time -- seeds
-  /// are already frozen, so the retry is bitwise the run the batch would
-  /// have produced -- isolating the failing job(s) instead of failing
-  /// innocent batch-mates.
+  /// so the session resolves the transpile artifact (hardware-targeted
+  /// jobs) and the compiled plan once, on the first request, and every
+  /// request carries them. On a batch-level exception the jobs are
+  /// retried one at a time -- seeds are already frozen, so the retry is
+  /// bitwise the run the batch would have produced -- isolating the
+  /// failing job(s) instead of failing innocent batch-mates.
   void execute_batch(ExecutionSession& session,
                      const std::vector<Record>& batch) QS_EXCLUDES(mutex) {
     obs::SpanTimer batch_span = tracer != nullptr
@@ -386,45 +381,30 @@ struct ServiceCore {
       batch_span.set_detail(batch_detail.c_str());
     }
     handle_staleness(batch);
-    std::shared_ptr<const TranspiledCircuit> transpiled;
-    std::shared_ptr<const CompiledCircuit> plan;
+    std::vector<ExecutionRequest> requests;  // copies: the originals stay
+    requests.reserve(batch.size());          // for the isolation retry
+    for (const Record& r : batch) requests.push_back(r->request);
+    bool batch_ok = true;
     try {
-      const ExecutionRequest& first = batch[0]->request;
       // The batch-level resolution is attributed to the seed job; the
       // scoped context lets the pass pipeline's kPass spans nest under
       // it even though PassManager has no request parameter.
-      obs::ScopedTraceContext trace_scope(first.trace);
-      if (first.processor != nullptr) {
-        obs::SpanTimer span = first.trace.span(obs::Phase::kTranspile);
-        bool hit = false;
-        transpiled = transpile_cache->get_or_transpile(
-            first.circuit, *first.processor, first.transpile_options, &hit);
-        span.set_cache_hit(hit);
-      }
-      {
-        obs::SpanTimer span = first.trace.span(obs::Phase::kLower);
-        bool hit = false;
-        plan = plan_cache->get_or_compile(
-            transpiled != nullptr ? transpiled->physical : first.circuit,
-            noise(), opts.plan_options, &hit);
-        span.set_cache_hit(hit);
-      }
+      obs::ScopedTraceContext trace_scope(requests[0].trace);
+      session.attach_plan(requests[0]);
     } catch (...) {
-      // Compilation failure (e.g. malformed circuit): leave the plan and
-      // artifact empty; the per-job path below reports the error per job.
+      // Compilation failure (e.g. malformed circuit): the per-job path
+      // below reports the error per job.
+      batch_ok = false;
     }
+    const std::shared_ptr<const TranspiledCircuit> transpiled =
+        requests[0].transpiled;
+    const std::shared_ptr<const CompiledCircuit> plan = requests[0].plan;
 
     std::vector<JobOutcome> outcomes(batch.size());
-
-    bool batch_ok = plan != nullptr;
     if (batch_ok) {
-      std::vector<ExecutionRequest> requests;
-      requests.reserve(batch.size());
-      for (const Record& r : batch) {
-        ExecutionRequest request = r->request;  // keep the original for
-        request.plan = plan;                    // the isolation retry
+      for (ExecutionRequest& request : requests) {
+        request.plan = plan;
         request.transpiled = transpiled;
-        requests.push_back(std::move(request));
       }
       try {
         obs::SpanTimer dispatch_span =
@@ -469,7 +449,6 @@ struct ServiceCore {
   void worker_loop() QS_EXCLUDES(mutex) {
     SessionOptions session_options;
     session_options.threads = opts.threads_per_worker;
-    session_options.plan_options = opts.plan_options;
     session_options.shared_plan_cache = plan_cache;
     session_options.shared_transpile_cache = transpile_cache;
     ExecutionSession session(backend, session_options);
@@ -565,7 +544,7 @@ JobHandle JobService::submit(JobSpec spec) {
   // a recalibration new jobs land in fresh transpile/plan/batching
   // groups while queued jobs keep their frozen view.
   std::shared_ptr<const CalibrationSnapshot> calib =
-      core_->calib_store->latest();
+      core_->calib_store.latest();
   std::optional<Processor> calibrated;
   if (spec.processor != nullptr && calib != nullptr)
     calibrated = spec.processor->with_calibration(calib);
@@ -600,7 +579,6 @@ JobHandle JobService::submit(JobSpec spec) {
   request.observables = std::move(spec.observables);
   request.initial_digits = std::move(spec.initial_digits);
   request.max_dim = spec.max_dim;
-  request.plan_options = options_.plan_options;
   request.processor = spec.processor;
   request.transpile_options = spec.transpile_options;
   request.seed = spec.seed;
@@ -645,7 +623,7 @@ JobHandle JobService::submit(JobSpec spec) {
   // the tenant's first submit) and the job's trace context.
   obs::HistogramId& tenant_hist = core_->tenant_hists[record->tenant];
   if (!tenant_hist.valid())
-    tenant_hist = core_->registry->histogram(
+    tenant_hist = core_->registry.histogram(
         "serve.tenant." + record->tenant + ".latency_seconds",
         obs::MetricsRegistry::latency_bounds_seconds());
   record->tenant_latency_id = tenant_hist;
@@ -672,21 +650,20 @@ std::optional<ExecutionResult> JobService::fetch(JobId id) const {
 std::uint64_t JobService::recalibrate(CalibrationSnapshot snapshot) {
   // The epoch fix-up and the publish ride under the service mutex so two
   // concurrent recalibrations serialize instead of racing the "strictly
-  // increasing epoch" contract of the store. (A store shared with
-  // external publishers can still conflict; the store then throws.)
+  // increasing epoch" contract of the store.
   const obs::TimePoint now = core_->time_source->now();
   MutexLock lock(core_->mutex);
-  const std::uint64_t latest = core_->calib_store->latest_epoch();
+  const std::uint64_t latest = core_->calib_store.latest_epoch();
   if (snapshot.epoch <= latest) snapshot.epoch = latest + 1;
-  const auto stored = core_->calib_store->publish(std::move(snapshot));
-  core_->registry->add(core_->recalibrations_id);
+  const auto stored = core_->calib_store.publish(std::move(snapshot));
+  core_->registry.add(core_->recalibrations_id);
   core_->journal_mark(obs::JournalEventType::kRecalibrated, now, nullptr,
                       stored->epoch);
   return stored->epoch;
 }
 
 const CalibrationStore& JobService::calibration_store() const {
-  return *core_->calib_store;
+  return core_->calib_store;
 }
 
 void JobService::pause() {
@@ -735,7 +712,7 @@ ServiceTelemetry JobService::telemetry() const {
   // trace_dropped_spans comes from the same registry snapshot (the
   // registry holds all shard locks while merging), fixing the historical
   // torn read between the scheduler counters and the cache/store gauges.
-  const obs::MetricsSnapshot snap = core_->registry->snapshot();
+  const obs::MetricsSnapshot snap = core_->registry.snapshot();
   ServiceTelemetry t;
   t.submitted = snap.counter("serve.jobs.submitted");
   t.completed = snap.counter("serve.jobs.completed");
@@ -764,7 +741,7 @@ ServiceTelemetry JobService::telemetry() const {
   t.kernel_generic = snap.counter("exec.kernels.dispatch.generic");
   t.kernel_scalar = snap.counter("exec.kernels.dispatch.scalar");
   t.kernel_batched = snap.counter("exec.kernels.dispatch.batched");
-  t.calib_epoch = core_->calib_store->latest_epoch();
+  t.calib_epoch = core_->calib_store.latest_epoch();
   if (core_->tracer != nullptr)
     t.trace_dropped_spans = core_->tracer->dropped();
   return t;
@@ -772,7 +749,7 @@ ServiceTelemetry JobService::telemetry() const {
 
 TenantLatency JobService::tenant_latency(const std::string& tenant) const {
   TenantLatency out;
-  const obs::MetricsSnapshot snap = core_->registry->snapshot();
+  const obs::MetricsSnapshot snap = core_->registry.snapshot();
   const obs::HistogramSnapshot* h =
       snap.histogram("serve.tenant." + tenant + ".latency_seconds");
   if (h == nullptr) return out;
@@ -785,11 +762,7 @@ TenantLatency JobService::tenant_latency(const std::string& tenant) const {
 }
 
 obs::MetricsSnapshot JobService::metrics() const {
-  return core_->registry->snapshot();
-}
-
-obs::MetricsRegistry& JobService::metrics_registry() const {
-  return *core_->registry;
+  return core_->registry.snapshot();
 }
 
 }  // namespace qs

@@ -79,25 +79,12 @@ struct ServiceOptions {
   std::uint64_t seed = 0x5e4ce5eedf005e4cull;
   /// Capacity of the shared compiled-plan cache.
   std::size_t plan_cache_capacity = 64;
-  /// Capacity of the shared transpile-artifact cache (hardware-targeted
-  /// jobs transpile once per (circuit, processor, options) shape).
-  std::size_t transpile_cache_capacity = 32;
-  /// Lowering options for every job's plan.
-  PlanOptions plan_options;
   /// ResultStore bounds (see result_store.h).
   std::size_t result_store_capacity = 1024;
   double result_ttl_seconds = 300.0;
   /// Start with dispatch paused (jobs queue up until resume()); useful for
   /// deterministic tests and for accumulating bursts into full batches.
   bool start_paused = false;
-  /// Versioned calibration store behind Service::recalibrate(). When
-  /// null the service creates a private one; share an external store to
-  /// feed several services (or a background characterization loop) from
-  /// one device history. While the store is empty jobs run uncalibrated;
-  /// once a snapshot is published, hardware-targeted jobs are pinned to
-  /// a calibrated device view at submission (their transpile/plan keys
-  /// fold in the epoch, so caches invalidate on recalibration).
-  std::shared_ptr<CalibrationStore> calibration_store;
   /// Staleness policy for jobs dispatched after a recalibration.
   CalibrationStalenessPolicy staleness =
       CalibrationStalenessPolicy::kUseSubmitted;
@@ -105,12 +92,6 @@ struct ServiceOptions {
   // --- observability (all optional, non-owning; must outlive the
   // service) ---------------------------------------------------------
 
-  /// Metrics sink. Null = the service keeps a private registry (still
-  /// reachable through JobService::metrics()). The service registers
-  /// `serve.*` metrics and shares the registry with its plan/transpile
-  /// caches and result store, so one snapshot covers the whole stack.
-  /// Sharing one registry between two services aggregates them.
-  obs::MetricsRegistry* registry = nullptr;
   /// Span sink for the job lifecycle (kSubmit/kQueue/kBatch/...). Null =
   /// tracing disabled; instrumentation then costs one relaxed load per
   /// site (see obs/trace.h).
@@ -273,8 +254,11 @@ class JobService {
   /// after shutdown (publishes, affects nothing).
   std::uint64_t recalibrate(CalibrationSnapshot snapshot);
 
-  /// The calibration store in use (the shared one from ServiceOptions,
-  /// or the service's private store).
+  /// The service's calibration store, behind recalibrate(). While it is
+  /// empty jobs run uncalibrated; once a snapshot is published,
+  /// hardware-targeted jobs are pinned to a calibrated device view at
+  /// submission (their transpile/plan keys fold in the epoch, so caches
+  /// invalidate on recalibration).
   const CalibrationStore& calibration_store() const;
 
   /// Stops the service: no further submissions; queued jobs run (kDrain)
@@ -293,10 +277,6 @@ class JobService {
   /// (scheduler, caches, result store, calibration store, per-tenant
   /// latency histograms).
   obs::MetricsSnapshot metrics() const;
-
-  /// The registry backing the service (the injected one, or the
-  /// service's private registry).
-  obs::MetricsRegistry& metrics_registry() const;
 
   /// The tracer from ServiceOptions (null when tracing is off).
   obs::Tracer* tracer() const { return options_.tracer; }

@@ -2,8 +2,8 @@
 
 #include <cmath>
 
-#include "circuit/executor.h"
 #include "common/require.h"
+#include "exec/state_vector_backend.h"
 #include "gates/two_qudit.h"
 #include "linalg/metrics.h"
 #include "linalg/types.h"

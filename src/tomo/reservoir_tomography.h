@@ -71,8 +71,6 @@ class ReservoirTomography {
   void train(const std::vector<Matrix>& training_states, double lambda,
              Rng& rng);
 
-  bool is_trained() const { return trained_; }
-
   /// Reconstructs a density matrix from a measurement record (requires
   /// train()); applies the physicality projection.
   Matrix reconstruct(const std::vector<double>& features) const;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "circuit/circuit.h"
-#include "circuit/executor.h"
 #include "common/rng.h"
 #include "exec/density_matrix_backend.h"
 #include "exec/state_vector_backend.h"

@@ -2,7 +2,7 @@
 // extension.
 #include <gtest/gtest.h>
 
-#include "circuit/executor.h"
+#include "exec/state_vector_backend.h"
 #include "gates/clifford.h"
 #include "gates/qudit_gates.h"
 #include "gates/two_qudit.h"

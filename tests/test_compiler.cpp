@@ -11,7 +11,6 @@
 #include "exec/state_vector_backend.h"
 #include "test_support.h"
 #include "common/rng.h"
-#include "compiler/compile.h"
 #include "compiler/passes.h"
 #include "compiler/pipeline.h"
 #include "compiler/transpile_cache.h"
@@ -552,35 +551,6 @@ TEST(TranspileParametric, BindCommutesWithTranspilationBothRouters) {
           << "lookahead " << lookahead << " amplitude " << i;
   }
 }
-
-// The deprecated compile_circuit shim must keep matching the pipeline it
-// wraps until removal; silence the markers locally.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-TEST(LegacyCompileShim, MatchesPipelineWithSameDrawnSeed) {
-  Rng rng(96);
-  const Processor proc = Processor::forecast_device(&rng);
-  const Circuit c = star_circuit(6, 3);
-  Rng shim_rng(7);
-  const CompileReport report = compile_circuit(c, proc, shim_rng);
-  TranspileOptions opts;
-  opts.seed = Rng(7).draw_seed();  // the seed the shim drew
-  const auto artifact = transpile(c, proc, opts);
-  EXPECT_EQ(fingerprint(report.routing.physical),
-            fingerprint(artifact->physical));
-  EXPECT_EQ(report.routing.swaps_inserted, artifact->swaps_inserted);
-  EXPECT_EQ(report.routing.final_logical_to_mode,
-            artifact->final_logical_to_mode);
-  EXPECT_EQ(report.schedule.makespan, artifact->schedule.makespan);
-  EXPECT_FALSE(report.summary().empty());
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 }  // namespace
 }  // namespace qs

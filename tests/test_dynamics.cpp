@@ -4,11 +4,11 @@
 #include <stdexcept>
 #include <string>
 
-#include "circuit/executor.h"
 #include "common/rng.h"
 #include "dynamics/hamiltonian.h"
 #include "dynamics/lindblad.h"
 #include "dynamics/trotter.h"
+#include "exec/state_vector_backend.h"
 #include "gates/bosonic.h"
 #include "gates/qudit_gates.h"
 #include "gates/two_qudit.h"

@@ -10,14 +10,12 @@
 #include <vector>
 
 #include "circuit/circuit.h"
-#include "circuit/executor.h"
 #include "common/rng.h"
 #include "exec/exec.h"
 #include "gates/qudit_gates.h"
 #include "gates/two_qudit.h"
 #include "hardware/processor.h"
 #include "noise/noise_model.h"
-#include "noise/noisy_executor.h"
 
 namespace qs {
 namespace {
@@ -441,7 +439,7 @@ TEST(ExecutionSessionFailure, SingleSubmitPropagatesBackendError) {
 }
 
 // ---------------------------------------------------------------------
-// Seed splitting and legacy shims.
+// Seed splitting.
 // ---------------------------------------------------------------------
 
 TEST(SplitSeed, StreamsAreDistinctAndPure) {
@@ -454,42 +452,6 @@ TEST(SplitSeed, StreamsAreDistinctAndPure) {
   std::sort(seen.begin(), seen.end());
   EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
 }
-
-// This suite exercises the deprecated shims on purpose (they must keep
-// matching the backend primitives until removal), so the deprecation
-// markers are silenced locally.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-TEST(LegacyShims, MatchBackendPrimitives) {
-  const Circuit c = bell_circuit();
-  const StateVector via_shim = run_from_vacuum(c);
-  const auto populations = StateVectorBackend().run_state(c);
-  for (std::size_t i = 0; i < populations.size(); ++i)
-    EXPECT_NEAR(std::norm(via_shim.amplitude(i)), populations[i], 1e-15);
-
-  DensityMatrix rho_shim(c.space());
-  run_noisy(c, rho_shim, lossy_noise());
-  const auto noisy = DensityMatrixBackend{lossy_noise()}.run_state(c);
-  const auto shim_probs = rho_shim.probabilities();
-  for (std::size_t i = 0; i < noisy.size(); ++i)
-    EXPECT_NEAR(shim_probs[i], noisy[i], 1e-15);
-
-  // Trajectory shim: same rng stream -> same trajectory as the primitive.
-  Rng r1(7), r2(7);
-  StateVector psi_shim(c.space());
-  StateVector psi_backend(c.space());
-  run_trajectory(c, psi_shim, lossy_noise(), r1);
-  TrajectoryBackend::apply(c, psi_backend, lossy_noise(), r2);
-  for (std::size_t i = 0; i < psi_shim.dimension(); ++i)
-    EXPECT_EQ(psi_shim.amplitude(i), psi_backend.amplitude(i));
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 }  // namespace
 }  // namespace qs

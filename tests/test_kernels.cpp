@@ -507,7 +507,7 @@ TEST(BatchTrajectories, BackendCountsMatchScalarReferenceBitwise) {
     const ExecutionResult result = backend.execute(request);
     EXPECT_GT(result.kernel_dispatch.batched, 0u);
 
-    const CompiledCircuit plan(c, noise, request.plan_options);
+    const CompiledCircuit plan(c, noise);
     std::vector<std::size_t> expected(space.dimension(), 0);
     for (std::size_t t = 0; t < shots; ++t) {
       StateVector psi(space);

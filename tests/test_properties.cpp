@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "circuit/executor.h"
 #include "common/rng.h"
 #include "gates/bosonic.h"
 #include "gates/qudit_gates.h"
@@ -16,6 +15,7 @@
 #include "noise/noise_model.h"
 #include "dynamics/trotter.h"
 #include "exec/density_matrix_backend.h"
+#include "exec/state_vector_backend.h"
 #include "exec/trajectory_backend.h"
 #include "qudit/density_matrix.h"
 #include "qudit/state_vector.h"

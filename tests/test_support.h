@@ -10,8 +10,7 @@
 namespace qs {
 namespace test_support {
 
-/// Final pure state of a circuit run from the vacuum: the migration
-/// replacement for the deprecated run_from_vacuum shim in tests that
+/// Final pure state of a circuit run from the vacuum, for tests that
 /// assert on amplitudes rather than populations.
 inline StateVector final_state(const Circuit& c) {
   StateVector psi(c.space());

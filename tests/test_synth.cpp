@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "circuit/executor.h"
+#include "exec/state_vector_backend.h"
 #include "gates/qudit_gates.h"
 #include "gates/two_qudit.h"
 #include "linalg/metrics.h"
