@@ -40,7 +40,7 @@ std::shared_ptr<const TranspiledCircuit> PassManager::run(
   TranspileContext ctx(logical, proc, options_);
   // PassManager has no request parameter; the executing job's trace
   // identity (if any) arrives via the thread-local context installed by
-  // ExecutionSession, attributing per-pass spans to that job.
+  // resolve_artifacts, attributing per-pass spans to that job.
   const obs::TraceContext& trace = obs::ScopedTraceContext::current();
   std::vector<PassStats> stats;
   stats.reserve(passes_.size());

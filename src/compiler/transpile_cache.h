@@ -4,9 +4,9 @@
 // Transpilation is deterministic given (circuit, processor, options) --
 // the mapping anneal draws from TranspileOptions::seed -- so its result
 // can be cached and shared: an ExecutionSession resolves hardware-
-// targeted requests through one of these, and the serve layer hangs a
-// shared instance off every worker session so a burst of same-shape
-// tenant jobs transpiles exactly once.
+// targeted requests through one of these, and the serve layer's workers
+// share one instance so a burst of same-shape tenant jobs transpiles
+// exactly once.
 #ifndef QS_COMPILER_TRANSPILE_CACHE_H
 #define QS_COMPILER_TRANSPILE_CACHE_H
 

@@ -7,6 +7,12 @@
 // without touching the workload). Execution is deterministic for a fixed
 // ExecutionRequest::seed; batching and parallelism live one layer up in
 // ExecutionSession.
+//
+// A request runs in two steps: resolve_artifacts compiles it (through
+// caches when given them), and Backend::execute(request, artifacts) runs
+// it. The standalone execute(request), ExecutionSession and the serve
+// layer take that one path and differ only in which caches they resolve
+// through and how often.
 #ifndef QS_EXEC_BACKEND_H
 #define QS_EXEC_BACKEND_H
 
@@ -21,9 +27,31 @@
 namespace qs {
 
 class NoiseModel;
+class TranspileCache;
+
+/// The compiled artifacts one request executes.
+struct ExecutionArtifacts {
+  /// Transpile artifact of (circuit, processor, transpile_options); set
+  /// exactly when the request has a processor.
+  std::shared_ptr<const TranspiledCircuit> transpiled;
+  /// Plan of the circuit that runs -- the logical circuit, or the
+  /// transpiled physical one -- lowered under the backend's noise model.
+  /// Parametric plans may be unbound: execute binds them per request.
+  std::shared_ptr<const CompiledCircuit> plan;
+};
+
+/// Transpiles (hardware-targeted requests) and lowers `request` under
+/// `noise`, through `transpiles` and `plans` when given them (each lookup
+/// is a kTranspile / kLower span with its cache outcome). Deterministic:
+/// the artifacts are pure functions of the request, so cached and uncached
+/// resolution execute identically. Thread-safe when the caches are.
+ExecutionArtifacts resolve_artifacts(const ExecutionRequest& request,
+                                     const NoiseModel& noise,
+                                     TranspileCache* transpiles = nullptr,
+                                     PlanCache* plans = nullptr);
 
 /// Interface of an execution substrate. Implementations must be stateless
-/// with respect to execute() (safe to call concurrently from the session's
+/// with respect to run() (safe to call concurrently from the session's
 /// worker threads).
 class Backend {
  public:
@@ -32,16 +60,28 @@ class Backend {
   /// Short identifier ("statevector", "densitymatrix", "trajectory").
   virtual std::string name() const = 0;
 
+  /// The noise model this backend executes under; plans are lowered
+  /// against it. The base returns a trivial (noiseless) model.
+  virtual const NoiseModel& noise_model() const;
+
   /// True when the backend models a nontrivial noise channel set.
-  virtual bool is_noisy() const = 0;
+  bool is_noisy() const;
 
-  /// Executes one request. Deterministic given request.seed; thread-safe.
-  virtual ExecutionResult execute(const ExecutionRequest& request) const = 0;
+  /// Executes one request on its own: resolve_artifacts without caches,
+  /// then execute(request, artifacts). Deterministic given request.seed;
+  /// thread-safe.
+  ExecutionResult execute(const ExecutionRequest& request) const;
 
-  /// The noise model this backend executes under, or nullptr for
-  /// noiseless substrates. ExecutionSession uses it to compile/cache
-  /// execution plans on the backend's behalf.
-  virtual const NoiseModel* noise_model() const { return nullptr; }
+  /// Executes one request on pre-resolved artifacts: binds a parametric
+  /// plan at the request's effective parameters (kBind), runs it,
+  /// evaluates the observables, and applies readout mitigation when the
+  /// request carries a calibration (kMitigate), all inside one kExecute
+  /// span. Throws std::invalid_argument when the artifacts do not belong
+  /// to the request: no plan, a plan over another register, a processor
+  /// request without its transpile artifact, or a transpile artifact on a
+  /// request without a processor. Thread-safe.
+  ExecutionResult execute(const ExecutionRequest& request,
+                          const ExecutionArtifacts& artifacts) const;
 
   // --- conveniences over execute() ---------------------------------------
 
@@ -60,41 +100,13 @@ class Backend {
                      std::uint64_t seed = kAutoSeed) const;
 
  protected:
-  /// Seed used when a request (or convenience call) carries kAutoSeed.
-  static constexpr std::uint64_t kDefaultSeed = 0x5eedf00dcafef00dull;
-
-  /// kAutoSeed -> kDefaultSeed, anything else passes through.
-  static std::uint64_t resolve_seed(std::uint64_t seed) {
-    return seed == kAutoSeed ? kDefaultSeed : seed;
-  }
-
-  /// Resolves the transpile artifact for a hardware-targeted request:
-  /// the session-attached ExecutionRequest::transpiled when present,
-  /// otherwise a fresh run of the default pipeline (deterministic: the
-  /// pipeline seeds itself from request.transpile_options.seed, so the
-  /// same request transpiles identically with or without a cache).
-  /// Returns nullptr when the request has no processor; execute the
-  /// logical circuit directly in that case.
-  static std::shared_ptr<const TranspiledCircuit> resolve_transpiled(
-      const ExecutionRequest& request);
-
-  /// Fills result.expectations from result.probabilities (every requested
-  /// observable must match the executed circuit's space dimension).
-  static void fill_expectations(const ExecutionRequest& request,
-                                ExecutionResult& result);
-
-  /// Returns the execution plan for `routed` (the logical circuit, or
-  /// the transpiled physical circuit): the request's session-cached plan
-  /// when its space matches, otherwise a freshly compiled plan for
-  /// (routed, noise). The session attaches plans lowered from the exact
-  /// circuit the backend will run -- logical or transpiled-physical.
-  /// Parametric plans are returned bound at the request's effective
-  /// binding (see effective_parameters in exec/request.h): the shared
-  /// structural artifact is re-bound per request, which only
-  /// re-materializes parameter-dependent steps.
-  static std::shared_ptr<const CompiledCircuit> resolve_plan(
-      const ExecutionRequest& request, const Circuit& routed,
-      const NoiseModel& noise);
+  /// Evolves `plan` (bound, over the executed register) from the
+  /// request's initial state and reads it out: fills result.trajectories,
+  /// .probabilities, .counts and .shots when sampling, and
+  /// .kernel_dispatch. result.seed already holds the seed to draw from.
+  virtual void run(const ExecutionRequest& request,
+                   const CompiledCircuit& plan,
+                   ExecutionResult& result) const = 0;
 };
 
 }  // namespace qs

@@ -4,7 +4,6 @@
 
 #include "common/require.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "exec/plan.h"
 #include "linalg/matrix.h"
 #include "qudit/state_vector.h"
@@ -41,28 +40,17 @@ void DensityMatrixBackend::apply(const Circuit& circuit, DensityMatrix& rho,
   }
 }
 
-ExecutionResult DensityMatrixBackend::execute(
-    const ExecutionRequest& request) const {
-  const Stopwatch timer;
-  ExecutionResult result;
-  result.backend = name();
-  result.seed = resolve_seed(request.seed);
-
-  const std::shared_ptr<const TranspiledCircuit> transpiled =
-      resolve_transpiled(request);
-  const Circuit& circuit =
-      transpiled != nullptr ? transpiled->physical : request.circuit;
-  if (transpiled != nullptr) result.compile_summary = transpiled->summary();
-  check_dense_dim(circuit.space().dimension(), request.max_dim);
-  const std::shared_ptr<const CompiledCircuit> plan =
-      resolve_plan(request, circuit, noise_);
+void DensityMatrixBackend::run(const ExecutionRequest& request,
+                               const CompiledCircuit& plan,
+                               ExecutionResult& result) const {
+  check_dense_dim(plan.space().dimension(), request.max_dim);
   DensityMatrix rho =
       request.initial_digits.empty()
-          ? DensityMatrix(circuit.space())
-          : DensityMatrix(StateVector(circuit.space(), request.initial_digits));
+          ? DensityMatrix(plan.space())
+          : DensityMatrix(StateVector(plan.space(), request.initial_digits));
   kernels::Scratch scratch;
-  scratch.reserve_block(plan->max_block());
-  plan->run_density(rho, scratch);
+  scratch.reserve_block(plan.max_block());
+  plan.run_density(rho, scratch);
 
   result.trajectories = 1;
   result.probabilities = rho.probabilities();
@@ -71,9 +59,6 @@ ExecutionResult DensityMatrixBackend::execute(
     result.counts = rho.sample_counts(request.shots, rng);
     result.shots = request.shots;
   }
-  fill_expectations(request, result);
-  result.wall_seconds = timer.seconds();
-  return result;
 }
 
 }  // namespace qs

@@ -19,11 +19,7 @@ class DensityMatrixBackend final : public Backend {
       : noise_(std::move(noise)) {}
 
   std::string name() const override { return "densitymatrix"; }
-  bool is_noisy() const override { return !noise_.is_trivial(); }
-  ExecutionResult execute(const ExecutionRequest& request) const override;
-  const NoiseModel* noise_model() const override { return &noise_; }
-
-  const NoiseModel& noise() const { return noise_; }
+  const NoiseModel& noise_model() const override { return noise_; }
 
   /// Stateful primitive: applies every gate of `circuit` to `rho`
   /// (with `noise`'s channels after each gate) after validating that the
@@ -35,6 +31,9 @@ class DensityMatrixBackend final : public Backend {
                     std::size_t max_dim = kDefaultMaxDenseDim);
 
  private:
+  void run(const ExecutionRequest& request, const CompiledCircuit& plan,
+           ExecutionResult& result) const override;
+
   NoiseModel noise_;
 };
 

@@ -232,8 +232,8 @@ std::uint64_t fingerprint(const NoiseModel& noise);
 /// LRU cache of compiled plans keyed by (structural circuit, noise,
 /// options) fingerprints, built on the shared keyed-artifact protocol
 /// (common/keyed_cache.h): thread-safe, compilation outside the lock,
-/// in-flight de-duplication, so the cache may be shared across
-/// ExecutionSessions and the serve layer's worker threads. The cached
+/// in-flight de-duplication, so the cache may be shared across threads
+/// (an ExecutionSession's fan-out, the serve layer's workers). The cached
 /// plans themselves are immutable and freely shared across threads.
 ///
 /// The circuit key is structural_fingerprint, so every binding of one

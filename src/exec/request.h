@@ -78,25 +78,9 @@ struct ExecutionRequest {
   /// routed physical circuit is executed.
   const Processor* processor = nullptr;
   TranspileOptions transpile_options;
-  /// Precomputed transpile artifact for (circuit, processor,
-  /// transpile_options). Normally attached by ExecutionSession's
-  /// TranspileCache; backends honor it only when `processor` is set. Like
-  /// `plan`, the artifact MUST have been produced from this exact request
-  /// triple -- the session guarantees that pairing.
-  std::shared_ptr<const TranspiledCircuit> transpiled;
   /// Guard for dense dim^2 allocations (DensityMatrixBackend).
   std::size_t max_dim = kDefaultMaxDenseDim;
-  /// Precompiled execution plan for the circuit the backend will run:
-  /// `circuit` itself, or -- when `processor` is set -- the transpiled
-  /// physical circuit. Normally attached by ExecutionSession's caches;
-  /// backends honor it only when the pairing is sound (no processor, or
-  /// `transpiled` attached alongside it; a plan on a hardware-targeted
-  /// request without its artifact is ignored). The plan MUST have been
-  /// lowered from that exact circuit and the executing backend's noise
-  /// model -- the session guarantees the pairing; set it manually only
-  /// with the same care.
-  std::shared_ptr<const CompiledCircuit> plan;
-  /// When set and the request samples shots, ExecutionSession applies
+  /// When set and the request samples shots, Backend::execute applies
   /// calibrated per-site confusion-matrix readout mitigation to the
   /// returned histogram (factorized product inversion -- never the dense
   /// d^n x d^n matrix) and fills ExecutionResult::mitigated +
@@ -143,11 +127,6 @@ struct ExecutionRequest {
                                      TranspileOptions options = {}) {
     processor = &proc;
     transpile_options = options;
-    // Retargeting invalidates any previously attached artifact/plan pair;
-    // clearing both here makes the builder unable to produce a request
-    // whose artifact disagrees with its target.
-    transpiled = nullptr;
-    plan = nullptr;
     return *this;
   }
   ExecutionRequest& with_max_dim(std::size_t dim) {
@@ -173,8 +152,8 @@ struct ExecutionRequest {
 /// non-parametric circuits). Validates the pairing -- a parametric
 /// circuit must end up bound, a non-parametric circuit must not carry
 /// explicit parameters, and the count must match the circuit's
-/// parameter-vector size. Shared by Backend::resolve_plan and the serve
-/// layer so every execution path normalizes identically.
+/// parameter-vector size. Shared by Backend::execute and the serve
+/// layer's submit so every execution path normalizes identically.
 const std::vector<double>& effective_parameters(
     const ExecutionRequest& request);
 
@@ -194,7 +173,9 @@ struct ExecutionResult {
                                       ///< requested, else the counts/shots
                                       ///< frequency estimate
   std::map<std::string, double> expectations;  ///< one per observable
-  double wall_seconds = 0.0;          ///< backend execution wall time
+  double wall_seconds = 0.0;          ///< wall time of Backend::execute on
+                                      ///< resolved artifacts (bind, run,
+                                      ///< observables, mitigation)
   std::string compile_summary;        ///< nonempty for compiled execution
   /// Readout-mitigated histogram (same total as `counts`); empty unless
   /// the request carried a readout calibration and sampled shots.

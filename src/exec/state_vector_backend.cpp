@@ -6,7 +6,6 @@
 
 #include "common/require.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "exec/plan.h"
 
 namespace qs {
@@ -38,26 +37,15 @@ Matrix circuit_unitary(const Circuit& circuit, std::size_t max_dim) {
   return u;
 }
 
-ExecutionResult StateVectorBackend::execute(
-    const ExecutionRequest& request) const {
-  const Stopwatch timer;
-  ExecutionResult result;
-  result.backend = name();
-  result.seed = resolve_seed(request.seed);
-
-  const std::shared_ptr<const TranspiledCircuit> transpiled =
-      resolve_transpiled(request);
-  const Circuit& circuit =
-      transpiled != nullptr ? transpiled->physical : request.circuit;
-  if (transpiled != nullptr) result.compile_summary = transpiled->summary();
-  const std::shared_ptr<const CompiledCircuit> plan =
-      resolve_plan(request, circuit, NoiseModel());
+void StateVectorBackend::run(const ExecutionRequest& request,
+                             const CompiledCircuit& plan,
+                             ExecutionResult& result) const {
   StateVector psi = request.initial_digits.empty()
-                        ? StateVector(circuit.space())
-                        : StateVector(circuit.space(), request.initial_digits);
+                        ? StateVector(plan.space())
+                        : StateVector(plan.space(), request.initial_digits);
   kernels::Scratch scratch;
-  scratch.reserve_block(plan->max_block());
-  plan->run_pure(psi, scratch);
+  scratch.reserve_block(plan.max_block());
+  plan.run_pure(psi, scratch);
   result.kernel_dispatch = scratch.dispatch;
 
   result.trajectories = 1;
@@ -69,9 +57,6 @@ ExecutionResult StateVectorBackend::execute(
     result.counts = psi.sample_counts(request.shots, rng);
     result.shots = request.shots;
   }
-  fill_expectations(request, result);
-  result.wall_seconds = timer.seconds();
-  return result;
 }
 
 }  // namespace qs

@@ -17,13 +17,15 @@ class StateVectorBackend final : public Backend {
   StateVectorBackend() = default;
 
   std::string name() const override { return "statevector"; }
-  bool is_noisy() const override { return false; }
-  ExecutionResult execute(const ExecutionRequest& request) const override;
 
   /// Stateful primitive: applies every gate of `circuit` to `psi` in
   /// order. The gate-by-gate reference that compiled plans are pinned to
   /// (tests/test_plan.cpp), and the engine of circuit_unitary.
   static void apply(const Circuit& circuit, StateVector& psi);
+
+ private:
+  void run(const ExecutionRequest& request, const CompiledCircuit& plan,
+           ExecutionResult& result) const override;
 };
 
 /// Builds the full-space unitary of a circuit (for small spaces only;

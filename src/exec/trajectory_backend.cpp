@@ -6,7 +6,6 @@
 
 #include "common/require.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "exec/plan.h"
 #include "exec/pool.h"
 #include "exec/state_vector_backend.h"
@@ -43,31 +42,20 @@ void TrajectoryBackend::apply(const Circuit& circuit, StateVector& psi,
   }
 }
 
-ExecutionResult TrajectoryBackend::execute(
-    const ExecutionRequest& request) const {
-  const Stopwatch timer;
-  ExecutionResult result;
-  result.backend = name();
-  result.seed = resolve_seed(request.seed);
+void TrajectoryBackend::run(const ExecutionRequest& request,
+                            const CompiledCircuit& plan,
+                            ExecutionResult& result) const {
+  const QuditSpace& space = plan.space();
+  const std::size_t dim = space.dimension();
 
-  const std::shared_ptr<const TranspiledCircuit> transpiled =
-      resolve_transpiled(request);
-  const Circuit& circuit =
-      transpiled != nullptr ? transpiled->physical : request.circuit;
-  if (transpiled != nullptr) result.compile_summary = transpiled->summary();
-  const std::shared_ptr<const CompiledCircuit> plan =
-      resolve_plan(request, circuit, noise_);
-  const std::size_t dim = circuit.space().dimension();
-
-  if (!plan->noisy()) {
+  if (!plan.noisy()) {
     // Pure evolution: one deterministic run, multinomial readout.
     StateVector psi = request.initial_digits.empty()
-                          ? StateVector(circuit.space())
-                          : StateVector(circuit.space(),
-                                        request.initial_digits);
+                          ? StateVector(space)
+                          : StateVector(space, request.initial_digits);
     kernels::Scratch scratch;
-    scratch.reserve_block(plan->max_block());
-    plan->run_pure(psi, scratch);
+    scratch.reserve_block(plan.max_block());
+    plan.run_pure(psi, scratch);
     result.kernel_dispatch = scratch.dispatch;
     result.trajectories = 1;
     result.probabilities.reserve(dim);
@@ -104,18 +92,16 @@ ExecutionResult TrajectoryBackend::execute(
     // (split_seed by absolute trajectory index) consumed exactly as the
     // per-shot path would, so results are bitwise-independent of the
     // batching.
-    const CompiledCircuit& shared_plan = *plan;
     const std::size_t initial_index =
-        request.initial_digits.empty()
-            ? 0
-            : circuit.space().index_of(request.initial_digits);
+        request.initial_digits.empty() ? 0
+                                       : space.index_of(request.initial_digits);
     std::vector<kernels::DispatchCounts> block_dispatch(blocks);
     parallel_for(blocks, threads_, [&](std::size_t b) {
       constexpr std::size_t kW = kernels::StateBatch::kLanes;
       const std::size_t begin = b * block;
       const std::size_t end = std::min(begin + block, total);
       kernels::Scratch scratch;
-      scratch.reserve_block(shared_plan.max_block());
+      scratch.reserve_block(plan.max_block());
       kernels::StateBatch batch;
       batch.configure(dim);
       Rng rngs[kW];
@@ -124,7 +110,7 @@ ExecutionResult TrajectoryBackend::execute(
         for (std::size_t k = 0; k < lanes; ++k)
           rngs[k] = Rng(split_seed(result.seed, t + k));
         batch.reset(initial_index);
-        shared_plan.run_trajectory_batch(batch, rngs, lanes, scratch);
+        plan.run_trajectory_batch(batch, rngs, lanes, scratch);
         for (std::size_t k = 0; k < lanes; ++k) {
           if (want_exact_probs)
             for (std::size_t i = 0; i < dim; ++i)
@@ -161,10 +147,6 @@ ExecutionResult TrajectoryBackend::execute(
                                        static_cast<double>(total));
     }
   }
-
-  fill_expectations(request, result);
-  result.wall_seconds = timer.seconds();
-  return result;
 }
 
 }  // namespace qs

@@ -30,11 +30,7 @@ class TrajectoryBackend final : public Backend {
       : noise_(std::move(noise)), threads_(threads) {}
 
   std::string name() const override { return "trajectory"; }
-  bool is_noisy() const override { return !noise_.is_trivial(); }
-  ExecutionResult execute(const ExecutionRequest& request) const override;
-  const NoiseModel* noise_model() const override { return &noise_; }
-
-  const NoiseModel& noise() const { return noise_; }
+  const NoiseModel& noise_model() const override { return noise_; }
 
   /// Stateful primitive: one trajectory -- gates applied exactly, each of
   /// `noise`'s channels sampled to a single Kraus branch. The
@@ -44,6 +40,9 @@ class TrajectoryBackend final : public Backend {
                     const NoiseModel& noise, Rng& rng);
 
  private:
+  void run(const ExecutionRequest& request, const CompiledCircuit& plan,
+           ExecutionResult& result) const override;
+
   NoiseModel noise_;
   std::size_t threads_;
 };

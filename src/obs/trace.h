@@ -52,7 +52,7 @@ enum class Phase : std::uint8_t {
   kPass,         ///< one transpiler pass (detail: pass name)
   kLower,        ///< routed circuit -> CompiledCircuit
   kBind,         ///< parametric bind of a cached artifact
-  kDispatch,     ///< batch fan-out to backend sessions
+  kDispatch,     ///< a batch's per-job executions on its shared artifacts
   kExecute,      ///< backend shot execution
   kMitigate,     ///< readout-error mitigation
   kStore,        ///< result store insert

@@ -33,7 +33,7 @@ using JobId = std::uint64_t;
 /// Lifecycle of a job inside the service.
 enum class JobStatus {
   kQueued,     ///< accepted, waiting for a worker
-  kRunning,    ///< dispatched onto a worker session
+  kRunning,    ///< dispatched onto a worker
   kDone,       ///< finished; result available
   kFailed,     ///< backend threw; error message available
   kCancelled,  ///< cancelled before dispatch (or at abort shutdown)

@@ -11,8 +11,7 @@
 //      max_batch-1 further queued jobs with the *same plan key* (same
 //      compiled (circuit, noise, options) plan -- any tenant, any
 //      priority) join the batch, so a burst of identical circuits is
-//      dispatched as one ExecutionSession::submit_batch sharing one
-//      CompiledCircuit.
+//      dispatched as one batch sharing one CompiledCircuit.
 //
 // The queue only schedules. It reads nothing of a record but the fields
 // frozen at submission (priority, tenant, plan key, deadline), never

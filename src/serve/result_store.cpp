@@ -31,7 +31,6 @@ void ResultStore::sweep_locked(Clock::time_point now, obs::MetricsTxn& txn) {
     if (it->second.expires_at > now) break;  // oldest still live: all are
     entries_.erase(it);
     order_.pop_front();
-    ++expired_;
     txn.add(expired_id_);
     txn.gauge_add(size_id_, -1);
   }
@@ -53,7 +52,6 @@ void ResultStore::put(JobId id, ExecutionResult result,
   while (entries_.size() >= capacity_) {
     entries_.erase(order_.front());
     order_.pop_front();
-    ++evicted_;
     txn.add(evicted_id_);
     txn.gauge_add(size_id_, -1);
   }
@@ -87,13 +85,11 @@ std::size_t ResultStore::size() const {
 }
 
 std::size_t ResultStore::evicted() const {
-  MutexLock lock(mutex_);
-  return evicted_;
+  return registry_->snapshot().counter("serve.result_store.evicted");
 }
 
 std::size_t ResultStore::expired() const {
-  MutexLock lock(mutex_);
-  return expired_;
+  return registry_->snapshot().counter("serve.result_store.expired");
 }
 
 }  // namespace qs

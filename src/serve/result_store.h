@@ -62,9 +62,11 @@ class ResultStore {
 
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
-  /// Entries dropped because the store was full (not TTL).
+  /// Entries dropped because the store was full (not TTL): the registry's
+  /// `serve.result_store.evicted` counter.
   std::size_t evicted() const;
-  /// Entries dropped because their TTL passed.
+  /// Entries dropped because their TTL passed: the registry's
+  /// `serve.result_store.expired` counter.
   std::size_t expired() const;
 
  private:
@@ -95,8 +97,6 @@ class ResultStore {
   /// Insertion order, oldest first.
   std::list<JobId> order_ QS_GUARDED_BY(mutex_);
   std::unordered_map<JobId, Entry> entries_ QS_GUARDED_BY(mutex_);
-  std::size_t evicted_ QS_GUARDED_BY(mutex_) = 0;
-  std::size_t expired_ QS_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace qs

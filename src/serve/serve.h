@@ -1,6 +1,6 @@
 // Umbrella header for the serve subsystem: a multi-tenant asynchronous
-// job service (queue -> fair-share scheduler -> ExecutionSession workers)
-// over the exec layer. See docs/ARCHITECTURE.md "Serve layer".
+// job service (queue -> fair-share scheduler -> worker threads) over the
+// exec layer. See docs/ARCHITECTURE.md "Serve layer".
 #ifndef QS_SERVE_SERVE_H
 #define QS_SERVE_SERVE_H
 

@@ -8,6 +8,7 @@
 #include "common/thread_annotations.h"
 #include "common/require.h"
 #include "common/rng.h"
+#include "compiler/transpile_cache.h"
 #include "noise/noise_model.h"
 
 namespace qs {
@@ -89,15 +90,13 @@ struct ServiceCore {
                         ? o.clock
                   : o.tracer != nullptr ? &o.tracer->time_source()
                                         : &obs::SteadyClock::instance()),
-        plan_cache(
-            std::make_shared<PlanCache>(o.plan_cache_capacity, &registry)),
-        transpile_cache(std::make_shared<TranspileCache>(
-            kTranspileCacheCapacity, &registry)),
+        plan_cache(o.plan_cache_capacity, &registry),
+        transpile_cache(kTranspileCacheCapacity, &registry),
         calib_store(CalibrationStore::kDefaultCapacity, &registry, tracer),
         store(o.result_store_capacity, o.result_ttl_seconds, time_source,
               &registry),
         paused(o.start_paused) {
-    plan_key_suffix = fingerprint(noise()) +
+    plan_key_suffix = fingerprint(backend.noise_model()) +
                       0x9e3779b97f4a7c15ull *
                           static_cast<std::uint64_t>(PlanOptions{}.bits() + 1);
     submitted_id = registry.counter("serve.jobs.submitted");
@@ -132,8 +131,8 @@ struct ServiceCore {
   obs::MetricsRegistry registry;
   obs::Tracer* const tracer;            ///< null = tracing off
   const obs::Clock* const time_source;  ///< never null
-  const std::shared_ptr<PlanCache> plan_cache;
-  const std::shared_ptr<TranspileCache> transpile_cache;
+  PlanCache plan_cache;
+  TranspileCache transpile_cache;
   CalibrationStore calib_store;
   ResultStore store;
   /// Constant (noise, options) contribution to every job's plan key,
@@ -166,12 +165,6 @@ struct ServiceCore {
   std::map<std::string, std::uint64_t> tenant_streams QS_GUARDED_BY(mutex);
   /// Per-tenant latency histograms, registered lazily at first submit.
   std::map<std::string, obs::HistogramId> tenant_hists QS_GUARDED_BY(mutex);
-
-  const NoiseModel& noise() const {
-    static const NoiseModel kNoiseless;
-    const NoiseModel* nm = backend.noise_model();
-    return nm != nullptr ? *nm : kNoiseless;
-  }
 
   /// THE one emission point of the job state machine: moves `jobs` along
   /// one lifecycle edge into `to`, stamped at `at`. Admission (kQueued,
@@ -363,15 +356,13 @@ struct ServiceCore {
     if (stale > 0) registry.add(stale_hits_id, stale);
   }
 
-  /// Runs one batch on the worker's session. All jobs share `plan_key`,
-  /// so the session resolves the transpile artifact (hardware-targeted
-  /// jobs) and the compiled plan once, on the first request, and every
-  /// request carries them. On a batch-level exception the jobs are
-  /// retried one at a time -- seeds are already frozen, so the retry is
-  /// bitwise the run the batch would have produced -- isolating the
-  /// failing job(s) instead of failing innocent batch-mates.
-  void execute_batch(ExecutionSession& session,
-                     const std::vector<Record>& batch) QS_EXCLUDES(mutex) {
+  /// Runs one batch. All jobs share `plan_key`, so the transpile artifact
+  /// (hardware-targeted jobs) and the compiled plan are resolved once,
+  /// from the seed job's request, through the shared caches, and every
+  /// job executes on them. A resolution failure fails the whole batch
+  /// (every member would fail the same way); a job whose execution throws
+  /// fails alone.
+  void execute_batch(const std::vector<Record>& batch) QS_EXCLUDES(mutex) {
     obs::SpanTimer batch_span = tracer != nullptr
                                     ? tracer->span(obs::Phase::kBatch)
                                     : obs::SpanTimer();
@@ -381,52 +372,26 @@ struct ServiceCore {
       batch_span.set_detail(batch_detail.c_str());
     }
     handle_staleness(batch);
-    std::vector<ExecutionRequest> requests;  // copies: the originals stay
-    requests.reserve(batch.size());          // for the isolation retry
-    for (const Record& r : batch) requests.push_back(r->request);
-    bool batch_ok = true;
-    try {
-      // The batch-level resolution is attributed to the seed job; the
-      // scoped context lets the pass pipeline's kPass spans nest under
-      // it even though PassManager has no request parameter.
-      obs::ScopedTraceContext trace_scope(requests[0].trace);
-      session.attach_plan(requests[0]);
-    } catch (...) {
-      // Compilation failure (e.g. malformed circuit): the per-job path
-      // below reports the error per job.
-      batch_ok = false;
-    }
-    const std::shared_ptr<const TranspiledCircuit> transpiled =
-        requests[0].transpiled;
-    const std::shared_ptr<const CompiledCircuit> plan = requests[0].plan;
-
     std::vector<JobOutcome> outcomes(batch.size());
-    if (batch_ok) {
-      for (ExecutionRequest& request : requests) {
-        request.plan = plan;
-        request.transpiled = transpiled;
-      }
-      try {
-        obs::SpanTimer dispatch_span =
-            tracer != nullptr ? tracer->span(obs::Phase::kDispatch)
-                              : obs::SpanTimer();
-        dispatch_span.set_detail(batch_detail.c_str());
-        std::vector<ExecutionResult> results =
-            session.submit_batch(std::move(requests));
-        for (std::size_t i = 0; i < batch.size(); ++i)
-          outcomes[i] = {JobStatus::kDone, std::move(results[i]), {}};
-      } catch (...) {
-        batch_ok = false;
-      }
+    ExecutionArtifacts artifacts;
+    try {
+      artifacts = resolve_artifacts(batch[0]->request, backend.noise_model(),
+                                    &transpile_cache, &plan_cache);
+    } catch (const std::exception& e) {
+      outcomes.assign(batch.size(), {JobStatus::kFailed, {}, e.what()});
+    } catch (...) {
+      outcomes.assign(batch.size(),
+                      {JobStatus::kFailed, {}, "unknown resolution error"});
     }
-    if (!batch_ok) {
+    if (artifacts.plan != nullptr) {
+      obs::SpanTimer dispatch_span = tracer != nullptr
+                                         ? tracer->span(obs::Phase::kDispatch)
+                                         : obs::SpanTimer();
+      dispatch_span.set_detail(batch_detail.c_str());
       for (std::size_t i = 0; i < batch.size(); ++i) {
         try {
-          ExecutionRequest request = batch[i]->request;
-          request.plan = plan;  // may be empty: backend compiles for itself
-          request.transpiled = transpiled;
           outcomes[i] = {JobStatus::kDone,
-                         session.submit(std::move(request)), {}};
+                         backend.execute(batch[i]->request, artifacts), {}};
         } catch (const std::exception& e) {
           outcomes[i] = {JobStatus::kFailed, {}, e.what()};
         } catch (...) {
@@ -447,12 +412,6 @@ struct ServiceCore {
   }
 
   void worker_loop() QS_EXCLUDES(mutex) {
-    SessionOptions session_options;
-    session_options.threads = opts.threads_per_worker;
-    session_options.shared_plan_cache = plan_cache;
-    session_options.shared_transpile_cache = transpile_cache;
-    ExecutionSession session(backend, session_options);
-
     for (;;) {
       FairShareQueue::Pop pop;
       {
@@ -472,7 +431,7 @@ struct ServiceCore {
         if (queue.size() > 0) cv.notify_one();  // more work for idle workers
         if (draining && queue.size() == 0) cv.notify_all();
       }
-      if (!pop.batch.empty()) execute_batch(session, pop.batch);
+      if (!pop.batch.empty()) execute_batch(pop.batch);
     }
   }
 };

@@ -6,11 +6,11 @@
 // bottleneck is the software that queues, batches, and schedules them. A
 // JobService is that software for the simulator stack: any number of
 // client threads submit JobSpecs and get future-style JobHandles back,
-// while a fixed pool of workers -- one ExecutionSession each, all sharing
-// one thread-safe PlanCache -- drains a priority queue with fair-share
+// while a fixed pool of workers -- all sharing one thread-safe
+// TranspileCache and PlanCache -- drains a priority queue with fair-share
 // tenant interleaving and plan-aware batching (jobs with equal
-// (structural circuit, noise, options) fingerprints dispatch as a single
-// submit_batch over one CompiledCircuit; parametric sweep points share
+// (structural circuit, noise, options) fingerprints dispatch as one batch
+// over one CompiledCircuit, resolved once; parametric sweep points share
 // the group and bind the plan per job).
 //
 // Determinism contract (the headline guarantee): every job's seed is
@@ -32,7 +32,6 @@
 #include "calib/store.h"
 #include "exec/backend.h"
 #include "exec/plan.h"
-#include "exec/session.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -64,12 +63,10 @@ enum class CalibrationStalenessPolicy {
 
 /// Service-level knobs.
 struct ServiceOptions {
-  /// Worker threads draining the queue, one ExecutionSession each.
+  /// Worker threads draining the queue. Each runs its batches serially;
+  /// workers parallelize across batches.
   std::size_t workers = 2;
-  /// ExecutionSession threads per worker for intra-batch fan-out. The
-  /// default keeps each worker serial; workers parallelize across batches.
-  std::size_t threads_per_worker = 1;
-  /// Max jobs dispatched as one submit_batch (same plan key). 1 disables
+  /// Max jobs dispatched as one batch (same plan key). 1 disables
   /// batching (one job per dispatch).
   std::size_t max_batch = 16;
   /// Queued-job bound; submit throws std::runtime_error when the queue is
@@ -134,7 +131,7 @@ struct ServiceTelemetry {
   std::size_t expired = 0;     ///< jobs whose deadline passed undispatched
   std::size_t queued = 0;      ///< gauge: jobs waiting now
   std::size_t running = 0;     ///< gauge: jobs on workers now
-  std::size_t batches = 0;      ///< dispatches (submit_batch calls)
+  std::size_t batches = 0;      ///< dispatches (scheduler batches)
   std::size_t batched_jobs = 0; ///< jobs dispatched across all batches
   std::size_t largest_batch = 0;
   double queue_seconds_total = 0.0;  ///< sum of per-job submit->dispatch

@@ -300,16 +300,24 @@ TEST(CalibrationPinned, MitigatedHistogramsBitwiseThroughSessionAndServe) {
 
   // Session path: the same calibrated view, seed, and snapshot.
   const Processor view = proc.with_calibration(pinned);
+  const ExecutionRequest request = ExecutionRequest(workload_circuit())
+                                       .with_shots(shots)
+                                       .with_seed(seed)
+                                       .with_compilation(view)
+                                       .with_readout_mitigation(pinned);
   auto run_session = [&] {
     ExecutionSession session(backend);
-    return session.submit(ExecutionRequest(workload_circuit())
-                              .with_shots(shots)
-                              .with_seed(seed)
-                              .with_compilation(view)
-                              .with_readout_mitigation(pinned));
+    return session.submit(request);
   };
   const ExecutionResult direct = run_session();
   const ExecutionResult direct_again = run_session();
+
+  // Standalone path: a direct backend call takes the same per-request
+  // path, mitigation included.
+  const ExecutionResult standalone = backend.execute(request);
+  EXPECT_EQ(standalone.counts, direct.counts);
+  EXPECT_EQ(standalone.mitigated, direct.mitigated);
+  EXPECT_EQ(standalone.calib_epoch, direct.calib_epoch);
 
   // Bitwise reproducible for the fixed (snapshot, seed) pair: session vs
   // session, and session vs serve.

@@ -161,6 +161,38 @@ TEST(ExecutionRequest, CompiledExecutionReportsSummary) {
   EXPECT_EQ(r.probabilities, r2.probabilities);
 }
 
+TEST(ExecutionRequest, ExecuteRejectsArtifactsOfAnotherRequest) {
+  // execute(request, artifacts) runs exactly the artifacts it is handed:
+  // a pairing that cannot belong to the request is a caller bug and
+  // throws, instead of being recompiled behind the caller's back.
+  ProcessorConfig cfg;
+  cfg.num_cavities = 3;
+  cfg.modes_per_cavity = 1;
+  cfg.levels_per_mode = 3;
+  const Processor proc(cfg);
+  const StateVectorBackend backend;
+  const NoiseModel& noise = backend.noise_model();
+  const ExecutionRequest logical(bell_circuit());
+  const ExecutionRequest targeted =
+      ExecutionRequest(bell_circuit()).with_compilation(proc);
+  const ExecutionArtifacts own = resolve_artifacts(logical, noise);
+  const ExecutionArtifacts routed = resolve_artifacts(targeted, noise);
+  EXPECT_NO_THROW(backend.execute(logical, own));
+  EXPECT_NO_THROW(backend.execute(targeted, routed));
+
+  // No plan.
+  EXPECT_THROW(backend.execute(logical, ExecutionArtifacts{}),
+               std::invalid_argument);
+  // A plan lowered over another register (three qutrits, not two).
+  const ExecutionArtifacts wide = resolve_artifacts(
+      ExecutionRequest(Circuit(QuditSpace::uniform(3, 3))), noise);
+  EXPECT_THROW(backend.execute(logical, wide), std::invalid_argument);
+  // A hardware-targeted request without its transpile artifact, and a
+  // transpile artifact on a request without a processor.
+  EXPECT_THROW(backend.execute(targeted, own), std::invalid_argument);
+  EXPECT_THROW(backend.execute(logical, routed), std::invalid_argument);
+}
+
 TEST(ExecutionSession, RepeatedCompiledRequestTranspilesExactlyOnce) {
   // The acceptance contract of the transpile cache: a repeated
   // ExecutionRequest with `processor` set transpiles once; the second
@@ -185,21 +217,6 @@ TEST(ExecutionSession, RepeatedCompiledRequestTranspilesExactlyOnce) {
   // The physical-circuit plan is cached too: one miss, one hit.
   EXPECT_EQ(session.plan_cache().misses(), 1u);
   EXPECT_EQ(session.plan_cache().hits(), 1u);
-
-  // Sessions can share one transpile cache (the serve layer's workers):
-  // a third session resolving the same request hits, never misses.
-  auto shared = std::make_shared<TranspileCache>(8);
-  SessionOptions opts;
-  opts.shared_transpile_cache = shared;
-  ExecutionSession warm(backend, opts);
-  warm.submit(
-      ExecutionRequest(bell_circuit()).with_compilation(proc).with_seed(5));
-  EXPECT_EQ(shared->misses(), 1u);
-  ExecutionSession reuse(backend, opts);
-  reuse.submit(
-      ExecutionRequest(bell_circuit()).with_compilation(proc).with_seed(5));
-  EXPECT_EQ(shared->misses(), 1u);
-  EXPECT_EQ(shared->hits(), 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -376,15 +393,21 @@ class FaultInjectionBackend final : public Backend {
       : poisoned_(poisoned) {}
 
   std::string name() const override { return "faulty"; }
-  bool is_noisy() const override { return false; }
-  ExecutionResult execute(const ExecutionRequest& request) const override {
+
+ private:
+  void run(const ExecutionRequest& request, const CompiledCircuit& plan,
+           ExecutionResult& result) const override {
     if (poisoned_(request.seed))
       throw std::runtime_error("injected fault for seed " +
                                std::to_string(request.seed));
-    return StateVectorBackend().execute(request);
+    StateVector psi(plan.space());
+    kernels::Scratch scratch;
+    scratch.reserve_block(plan.max_block());
+    plan.run_pure(psi, scratch);
+    for (const cplx& a : psi.amplitudes())
+      result.probabilities.push_back(std::norm(a));
   }
 
- private:
   bool (*poisoned_)(std::uint64_t);
 };
 

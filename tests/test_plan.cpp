@@ -408,12 +408,13 @@ TEST(CompiledExecution, TrajectoryBackendMatchesHandRolledReference) {
   for (double& p : ref_probs) p /= static_cast<double>(total);
 
   const TrajectoryBackend backend{noise};
+  ExecutionArtifacts unfused;
+  unfused.plan =
+      std::make_shared<const CompiledCircuit>(c, noise, PlanOptions::none());
   ExecutionRequest request(c);
   request.trajectories = total;
   request.seed = seed;
-  request.plan = std::make_shared<const CompiledCircuit>(c, noise,
-                                                         PlanOptions::none());
-  const ExecutionResult result = backend.execute(request);
+  const ExecutionResult result = backend.execute(request, unfused);
   ASSERT_EQ(result.probabilities.size(), ref_probs.size());
   for (std::size_t i = 0; i < ref_probs.size(); ++i)
     EXPECT_EQ(result.probabilities[i], ref_probs[i]) << "index " << i;
@@ -430,8 +431,7 @@ TEST(CompiledExecution, TrajectoryBackendMatchesHandRolledReference) {
   ExecutionRequest counts_request(c);
   counts_request.shots = shots;
   counts_request.seed = seed;
-  counts_request.plan = request.plan;
-  EXPECT_EQ(backend.execute(counts_request).counts, ref_counts);
+  EXPECT_EQ(backend.execute(counts_request, unfused).counts, ref_counts);
 }
 
 TEST(CompiledExecution, AllBackendsAgreeOnRandomCircuits) {
@@ -581,30 +581,6 @@ TEST(PlanCache, SafeUnderConcurrentHammering) {
             static_cast<std::size_t>(kThreads) * kRounds);
   // Each circuit compiles at least once; evictions may force recompiles.
   EXPECT_GE(cache.misses(), circuits.size());
-}
-
-TEST(PlanCache, SharedAcrossSessions) {
-  Rng rng(9100);
-  const QuditSpace space = random_space(rng);
-  const Circuit c = random_circuit(space, rng, 6, false);
-  const TrajectoryBackend backend{mixed_noise()};
-
-  auto shared = std::make_shared<PlanCache>(16);
-  SessionOptions options;
-  options.shared_plan_cache = shared;
-  ExecutionSession first(backend, options);
-  ExecutionSession second(backend, options);
-
-  ExecutionRequest request(c);
-  request.shots = 32;
-  request.seed = 99;
-  const ExecutionResult a = first.submit(request);
-  const ExecutionResult b = second.submit(request);  // hits first's plan
-  EXPECT_EQ(shared->misses(), 1u);
-  EXPECT_EQ(shared->hits(), 1u);
-  EXPECT_EQ(&first.plan_cache(), shared.get());
-  EXPECT_EQ(&second.plan_cache(), shared.get());
-  EXPECT_EQ(a.counts, b.counts);
 }
 
 // ---------------------------------------------------------------------

@@ -146,13 +146,11 @@ TEST(ServeDeterminism, ConcurrentMixedWorkloadMatchesSerialBitwise) {
 
   ServiceOptions serial;
   serial.workers = 1;
-  serial.threads_per_worker = 1;
   serial.max_batch = 1;  // one job per dispatch: the naive reference
   const auto reference = run_workload(backend, serial, tenants, false);
 
   ServiceOptions pooled;
   pooled.workers = 3;
-  pooled.threads_per_worker = 2;
   pooled.max_batch = 8;
   const auto concurrent = run_workload(backend, pooled, tenants, true);
 
@@ -698,12 +696,14 @@ TEST(JobService, QueueBoundRejectsOverflow) {
 TEST(JobService, FailedJobsSurfaceTheErrorAndSpareBatchMates) {
   // DensityMatrixBackend rejects oversized registers; a batch mixing a
   // poisoned job (tiny max_dim) with healthy ones must fail only the
-  // poisoned one.
+  // poisoned one, and execute every job exactly once.
   const DensityMatrixBackend backend;
+  obs::Tracer tracer;
   ServiceOptions options;
   options.workers = 1;
   options.max_batch = 8;
   options.start_paused = true;
+  options.tracer = &tracer;
   JobService service(backend, options);
   JobHandle good1 = service.submit(JobSpec(qrc_circuit(0.2)).with_shots(4));
   JobHandle poisoned =
@@ -719,6 +719,64 @@ TEST(JobService, FailedJobsSurfaceTheErrorAndSpareBatchMates) {
   service.shutdown(ShutdownMode::kDrain);
   EXPECT_EQ(service.telemetry().failed, 1u);
   EXPECT_EQ(service.telemetry().completed, 2u);
+
+  // One kExecute span per job: the healthy batch-mates are not re-run to
+  // isolate the failure.
+  EXPECT_EQ(tracer.dropped(), 0u);
+  std::map<JobId, int> executions;
+  for (const obs::Span& s : tracer.spans())
+    if (s.phase == obs::Phase::kExecute) ++executions[s.job];
+  const std::map<JobId, int> once = {
+      {good1.id(), 1}, {poisoned.id(), 1}, {good2.id(), 1}};
+  EXPECT_EQ(executions, once);
+}
+
+TEST(JobService, UnresolvableBatchFailsOnceWithItsError) {
+  // A 3-site circuit cannot be mapped onto a 2-mode device. Its jobs share
+  // one plan key, so they batch together and would all fail the same way:
+  // the batch resolves once and every member fails with that error, while
+  // a job that fits the device still runs.
+  ProcessorConfig cfg;
+  cfg.num_cavities = 2;
+  cfg.modes_per_cavity = 1;
+  cfg.levels_per_mode = 3;
+  const Processor proc(cfg);
+  Circuit wide(QuditSpace::uniform(3, 3));
+  wide.add("F", fourier(3), {0});
+  wide.add("CSUM", csum(3, 3), {0, 1});
+  wide.add("CSUM", csum(3, 3), {1, 2});
+  Circuit fits(QuditSpace::uniform(2, 3));
+  fits.add("F", fourier(3), {0});
+  fits.add("CSUM", csum(3, 3), {0, 1});
+
+  const StateVectorBackend backend;
+  ServiceOptions options;
+  options.workers = 1;
+  options.max_batch = 8;
+  options.start_paused = true;
+  JobService service(backend, options);
+  const std::vector<JobHandle> doomed = {
+      service.submit(JobSpec(wide).with_compilation(proc).with_shots(8)),
+      service.submit(JobSpec(wide).with_compilation(proc).with_shots(8))};
+  const JobHandle ok =
+      service.submit(JobSpec(fits).with_compilation(proc).with_shots(8));
+  service.resume();
+  for (const JobHandle& h : doomed) {
+    const JobOutcome outcome = h.wait();
+    EXPECT_EQ(outcome.status, JobStatus::kFailed);
+    EXPECT_NE(outcome.error.find("map_qudits: not enough modes"),
+              std::string::npos)
+        << outcome.error;
+  }
+  EXPECT_EQ(ok.wait().status, JobStatus::kDone);
+  service.shutdown(ShutdownMode::kDrain);
+
+  const ServiceTelemetry t = service.telemetry();
+  EXPECT_EQ(t.failed, 2u);
+  EXPECT_EQ(t.completed, 1u);
+  EXPECT_EQ(t.batches, 2u);
+  // One transpile lookup per batch, the failed one included.
+  EXPECT_EQ(t.transpile_cache_misses, 2u);
 }
 
 TEST(JobService, FetchServesResultsAfterHandlesAreGone) {
