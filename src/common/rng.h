@@ -7,30 +7,58 @@
 #define QS_COMMON_RNG_H
 
 #include <algorithm>
+#include <cmath>
 #include <complex>
 #include <cstdint>
-#include <random>
 #include <vector>
 
 #include "common/require.h"
 
 namespace qs {
 
-/// Thin wrapper over std::mt19937_64 with the distributions the library
-/// needs. Copyable; copies evolve independently.
+/// Deterministically derives the seed of the `stream`-th child RNG stream
+/// from a root seed (splitmix64 finalizer). A pure function of
+/// (root, stream): parallel workloads that assign stream indices by task
+/// get bitwise-reproducible results regardless of scheduling or thread
+/// count.
+inline std::uint64_t split_seed(std::uint64_t root, std::uint64_t stream) {
+  std::uint64_t z = root + 0x9e3779b97f4a7c15ull * (stream + 1);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+/// Version of the stream `Rng` draws. Journals record it (`H rng=`) so a
+/// replay under another stream fails by name instead of by byte diff.
+/// Version 1 was the standard library's 64-bit Mersenne Twister and
+/// libstdc++'s distributions.
+inline constexpr int kRngStreamVersion = 2;
+
+/// Counter-based generator: draw i of `Rng(s)` is `split_seed(s, i)`, so
+/// every draw is a pure function of (seed, draw index) and building one
+/// costs two stores. The distributions are defined here, not by the
+/// standard library, so every draw except `normal`/`complex_normal`
+/// (which call libm) is bit-identical on every toolchain. Copyable;
+/// copies evolve independently.
 class Rng {
  public:
   /// Constructs a generator from a 64-bit seed.
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) : engine_(seed) {}
+  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) : seed_(seed) {}
 
-  /// Uniform double in [0, 1).
-  double uniform() { return unit_(engine_); }
+  /// Uniform double in [0, 1): the top 53 bits of one draw.
+  double uniform() { return static_cast<double>(draw_seed() >> 11) * 0x1p-53; }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
-  /// Standard normal sample.
-  double normal() { return normal_(engine_); }
+  /// Standard normal sample (Box-Muller; two draws, the sine half unused
+  /// so the generator stays stateless between calls).
+  double normal() {
+    const double u = static_cast<double>((draw_seed() >> 11) + 1) * 0x1p-53;
+    const double v = uniform();
+    constexpr double two_pi = 6.28318530717958647692;
+    return std::sqrt(-2.0 * std::log(u)) * std::cos(two_pi * v);
+  }
 
   /// Normal sample with the given mean and standard deviation.
   double normal(double mean, double stddev) { return mean + stddev * normal(); }
@@ -38,13 +66,15 @@ class Rng {
   /// Uniform integer in [0, n-1]. Requires n > 0.
   std::size_t index(std::size_t n) {
     require(n > 0, "Rng::index: n must be positive");
-    return std::uniform_int_distribution<std::size_t>(0, n - 1)(engine_);
+    return static_cast<std::size_t>(below(n));
   }
 
   /// Uniform integer in [lo, hi] inclusive.
   int integer(int lo, int hi) {
     require(lo <= hi, "Rng::integer: empty range");
-    return std::uniform_int_distribution<int>(lo, hi)(engine_);
+    const std::uint64_t span =
+        static_cast<std::uint64_t>(static_cast<std::int64_t>(hi) - lo) + 1;
+    return static_cast<int>(lo + static_cast<std::int64_t>(below(span)));
   }
 
   /// Bernoulli trial with success probability p.
@@ -80,32 +110,28 @@ class Rng {
     }
   }
 
-  /// Derives an independent child generator (for parallel workloads).
-  Rng split() { return Rng(engine_() ^ 0xd1342543de82ef95ull); }
-
   /// Draws a raw 64-bit word (e.g. a root seed for split_seed streams).
-  std::uint64_t draw_seed() { return engine_(); }
-
-  /// Access to the raw engine for std:: distribution interop.
-  std::mt19937_64& engine() { return engine_; }
+  std::uint64_t draw_seed() { return split_seed(seed_, counter_++); }
 
  private:
-  std::mt19937_64 engine_;  // lint:allow(nondeterminism): ctor-seeded
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
-  std::normal_distribution<double> normal_{0.0, 1.0};
+  /// Unbiased uniform integer in [0, n) for n > 0: Lemire's
+  /// multiply-shift, rejecting the (2^64 mod n) low products that would
+  /// over-represent some outputs.
+  std::uint64_t below(std::uint64_t n) {
+    unsigned __int128 m = static_cast<unsigned __int128>(draw_seed()) * n;
+    if (static_cast<std::uint64_t>(m) < n) {
+      const std::uint64_t threshold = (0 - n) % n;
+      while (static_cast<std::uint64_t>(m) < threshold)
+        m = static_cast<unsigned __int128>(draw_seed()) * n;
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
+
+  std::uint64_t seed_;
+  std::uint64_t counter_ = 0;
 };
 
-/// Deterministically derives the seed of the `stream`-th child RNG stream
-/// from a root seed (splitmix64 finalizer). Unlike Rng::split(), which
-/// advances the parent engine, this is a pure function of (root, stream):
-/// parallel workloads that assign stream indices by task get bitwise-
-/// reproducible results regardless of scheduling or thread count.
-inline std::uint64_t split_seed(std::uint64_t root, std::uint64_t stream) {
-  std::uint64_t z = root + 0x9e3779b97f4a7c15ull * (stream + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
+static_assert(sizeof(Rng) == 16, "Rng is a (seed, counter) pair");
 
 }  // namespace qs
 

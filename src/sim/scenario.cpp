@@ -77,6 +77,7 @@ ScenarioReport run_scenario(const Backend& backend, const WorkloadSpec& spec,
   if (spec.tenants.empty())
     throw std::runtime_error("run_scenario: spec has no tenants");
   journal.set_header("spec", spec.serialize());
+  journal.set_header("rng", std::to_string(kRngStreamVersion));
 
   // lint:allow(nondeterminism): ManualClock ctor, not a clock() read
   obs::ManualClock clock(0);

@@ -53,22 +53,48 @@ std::string fmt(double v) {
   return os.str();
 }
 
-double parse_f64(const std::string& value, const std::string& line) {
-  try {
-    return std::stod(value);
-  } catch (const std::exception&) {
-    throw std::runtime_error("WorkloadSpec: bad double '" + value +
-                             "' in: " + line);
-  }
+[[noreturn]] void bad_field(const std::string& field, const std::string& value,
+                            const std::string& line) {
+  throw std::runtime_error("WorkloadSpec: bad " + field + " '" + value +
+                           "' in: " + line);
 }
 
-std::uint64_t parse_u64(const std::string& value, const std::string& line) {
+/// Finite doubles only: a rate of inf or nan never lets poisson() return.
+double parse_f64(const std::string& field, const std::string& value,
+                 const std::string& line) {
   try {
-    return std::stoull(value);
+    const double v = std::stod(value);
+    if (std::isfinite(v)) return v;
   } catch (const std::exception&) {
-    throw std::runtime_error("WorkloadSpec: bad integer '" + value +
-                             "' in: " + line);
   }
+  bad_field(field, value, line);
+}
+
+/// Decimal digits only: std::stoull alone accepts a sign and wraps -1 to
+/// 2^64 - 1, which turns a typo into a run that never ends.
+std::uint64_t parse_u64(const std::string& field, const std::string& value,
+                        const std::string& line) {
+  const bool digits =
+      !value.empty() && std::all_of(value.begin(), value.end(), [](char c) {
+        return c >= '0' && c <= '9';
+      });
+  try {
+    if (digits) return std::stoull(value);
+  } catch (const std::exception&) {  // out of range
+  }
+  bad_field(field, value, line);
+}
+
+/// Priorities are signed: larger runs earlier, and below zero is legal.
+int parse_int(const std::string& field, const std::string& value,
+              const std::string& line) {
+  try {
+    std::size_t used = 0;
+    const int v = std::stoi(value, &used);
+    if (used == value.size()) return v;
+  } catch (const std::exception&) {
+  }
+  bad_field(field, value, line);
 }
 
 std::vector<std::string> split(const std::string& s, char sep) {
@@ -118,31 +144,31 @@ WorkloadSpec WorkloadSpec::parse(const std::string& line) {
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
     if (key == "seed") {
-      spec.seed = parse_u64(value, line);
+      spec.seed = parse_u64(key, value, line);
     } else if (key == "ticks") {
-      spec.ticks = parse_u64(value, line);
+      spec.ticks = parse_u64(key, value, line);
     } else if (key == "tick_s") {
-      spec.tick_seconds = parse_f64(value, line);
+      spec.tick_seconds = parse_f64(key, value, line);
     } else if (key == "snap") {
-      spec.snapshot_every = parse_u64(value, line);
+      spec.snapshot_every = parse_u64(key, value, line);
     } else if (key == "ttl") {
-      spec.result_ttl_seconds = parse_f64(value, line);
+      spec.result_ttl_seconds = parse_f64(key, value, line);
     } else if (key == "storm_pub") {
-      spec.storm_publishes = parse_u64(value, line);
+      spec.storm_publishes = parse_u64(key, value, line);
     } else if (key == "flood_frac") {
-      spec.flood_cancel_fraction = parse_f64(value, line);
+      spec.flood_cancel_fraction = parse_f64(key, value, line);
     } else if (key == "storm") {
-      spec.storm_ticks.push_back(parse_u64(value, line));
+      spec.storm_ticks.push_back(parse_u64(key, value, line));
     } else if (key == "flood") {
-      spec.flood_ticks.push_back(parse_u64(value, line));
+      spec.flood_ticks.push_back(parse_u64(key, value, line));
     } else if (key == "pause") {
       const std::size_t dash = value.find('-');
       if (dash == std::string::npos)
         throw std::runtime_error("WorkloadSpec: malformed pause '" + value +
                                  "' in: " + line);
       spec.pause_windows.emplace_back(
-          parse_u64(value.substr(0, dash), line),
-          parse_u64(value.substr(dash + 1), line));
+          parse_u64(key, value.substr(0, dash), line),
+          parse_u64(key, value.substr(dash + 1), line));
     } else if (key == "tenant") {
       const std::vector<std::string> f = split(value, ',');
       if (f.size() != 12)
@@ -153,16 +179,16 @@ WorkloadSpec WorkloadSpec::parse(const std::string& line) {
       if (!kind_from_string(f[1], t.kind))
         throw std::runtime_error("WorkloadSpec: unknown job kind '" + f[1] +
                                  "' in: " + line);
-      t.rate = parse_f64(f[2], line);
-      t.burst_factor = parse_f64(f[3], line);
-      t.burst_period = parse_u64(f[4], line);
-      t.burst_length = parse_u64(f[5], line);
-      t.priority = static_cast<int>(parse_u64(f[6], line));
-      t.deadline_fraction = parse_f64(f[7], line);
-      t.deadline_seconds = parse_f64(f[8], line);
-      t.cancel_fraction = parse_f64(f[9], line);
-      t.shots = parse_u64(f[10], line);
-      t.variants = parse_u64(f[11], line);
+      t.rate = parse_f64("tenant rate", f[2], line);
+      t.burst_factor = parse_f64("tenant burst_factor", f[3], line);
+      t.burst_period = parse_u64("tenant burst_period", f[4], line);
+      t.burst_length = parse_u64("tenant burst_length", f[5], line);
+      t.priority = parse_int("tenant priority", f[6], line);
+      t.deadline_fraction = parse_f64("tenant deadline_fraction", f[7], line);
+      t.deadline_seconds = parse_f64("tenant deadline_seconds", f[8], line);
+      t.cancel_fraction = parse_f64("tenant cancel_fraction", f[9], line);
+      t.shots = parse_u64("tenant shots", f[10], line);
+      t.variants = parse_u64("tenant variants", f[11], line);
       spec.tenants.push_back(std::move(t));
     } else {
       throw std::runtime_error("WorkloadSpec: unknown key '" + key +

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -27,15 +29,74 @@ TEST(Rng, Deterministic) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.uniform(), b.uniform());
 }
 
-TEST(Rng, SplitIndependent) {
-  // The child stream should not replay the parent stream.
-  Rng parent(42);
-  Rng child = parent.split();
-  bool all_equal = true;
-  for (int i = 0; i < 16; ++i) {
-    if (parent.uniform() != child.uniform()) all_equal = false;
+TEST(Rng, StreamIsPinned) {
+  // The first draws of three streams, bitwise. Every sampled result in
+  // the library (counts, Kraus choices, scenario arrivals, drift) flows
+  // from these; a deliberate stream change bumps kRngStreamVersion and
+  // re-pins them, an accidental one fails here. normal() goes through
+  // libm's log/cos, so it is pinned to 1e-15 relative instead.
+  struct Pinned {
+    Rng rng;
+    std::uint64_t draw_seed[2];
+    double uniform[2];
+    std::size_t index7[4];
+    int integer[4];
+    double normal[2];
+  };
+  const Pinned pins[] = {
+      {Rng(split_seed(1, 0)),
+       {0x5e41ab087439611eull, 0xf18d6ce93d6cf1eeull},
+       {0x1.7906ac21d0e58p-2, 0x1.e31ad9d27ad9ep-1},
+       {2, 6, 0, 5},
+       {-1, 3, -3, 2},
+       {1.3256718696671201, 0.42681060022473438}},
+      {Rng(split_seed(42, 7)),
+       {0x001dcf1b277a0c18ull, 0xff6a03ddcc9b51e2ull},
+       {0x1.dcf1b277a08p-12, 0x1.fed407bb9936ap-1},
+       {0, 6, 1, 0},
+       {-3, 3, -2, -3},
+       {3.922742186550324, 1.534722477742168}},
+      {Rng(),
+       {0x6e789e6aa1b965f4ull, 0x06c45d188009454full},
+       {0x1.b9e279aa86e58p-2, 0x1.b1174620025p-6},
+       {3, 0, 6, 0},
+       {0, -3, 3, -3},
+       {1.2786336028299854, 0.19082411246493039}},
+  };
+  EXPECT_EQ(kRngStreamVersion, 2);
+  for (const Pinned& p : pins) {
+    Rng seeds = p.rng, unit = p.rng, idx = p.rng, ints = p.rng,
+        gauss = p.rng;
+    for (int i = 0; i < 2; ++i) EXPECT_EQ(seeds.draw_seed(), p.draw_seed[i]);
+    for (int i = 0; i < 2; ++i) EXPECT_EQ(unit.uniform(), p.uniform[i]);
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(idx.index(7), p.index7[i]);
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(ints.integer(-3, 3), p.integer[i]);
+    for (int i = 0; i < 2; ++i)
+      EXPECT_NEAR(gauss.normal(), p.normal[i], 1e-15 * std::abs(p.normal[i]));
   }
-  EXPECT_FALSE(all_equal);
+}
+
+TEST(Rng, IndexIsUnbiased) {
+  // n = 3 * 2^62: a plain `draw % n` folds the top quarter of the 64-bit
+  // range onto [0, 2^62), so half the draws would land there instead of
+  // a third.
+  Rng rng(9);
+  const std::size_t n = std::size_t{3} << 62;
+  const int draws = 100000;
+  int low = 0;
+  for (int i = 0; i < draws; ++i)
+    if (rng.index(n) < (std::size_t{1} << 62)) ++low;
+  EXPECT_NEAR(low / static_cast<double>(draws), 1.0 / 3.0, 0.01);
+
+  // The full int range is a 2^32-wide span: both signs must appear.
+  bool negative = false, positive = false;
+  for (int i = 0; i < 64; ++i) {
+    const int v = rng.integer(INT_MIN, INT_MAX);
+    negative = negative || v < 0;
+    positive = positive || v > 0;
+  }
+  EXPECT_TRUE(negative);
+  EXPECT_TRUE(positive);
 }
 
 TEST(Rng, NormalMoments) {

@@ -44,6 +44,33 @@ TEST(WorkloadSpecTest, SerializeParseRoundTrip) {
   EXPECT_EQ(back.ticks, spec.ticks);
   EXPECT_EQ(back.tenants.size(), spec.tenants.size());
   EXPECT_THROW(WorkloadSpec::parse("seed=1 nonsense"), std::runtime_error);
+
+  // Numbers that used to parse and then hang the engine: poisson() never
+  // returns on a non-finite rate, and stoull wraps a sign to 2^64 - 1.
+  // Each is rejected, and the error names the field.
+  const auto tenant = [](const std::string& rate, const std::string& shots) {
+    return " tenant=a,qrc," + rate + ",1,0,1,0,0,0,0," + shots + ",4";
+  };
+  EXPECT_NO_THROW(WorkloadSpec::parse("ticks=4" + tenant("1", "64")));
+  const std::pair<std::string, std::string> bad[] = {
+      {"ticks=4" + tenant("inf", "64"), "tenant rate 'inf'"},
+      {"ticks=4" + tenant("nan", "64"), "tenant rate 'nan'"},
+      {"ticks=-1" + tenant("1", "64"), "ticks '-1'"},
+      {"ticks=4" + tenant("1", "-64"), "tenant shots '-64'"},
+  };
+  for (const auto& [input, field] : bad) {
+    try {
+      WorkloadSpec::parse(input);
+      ADD_FAILURE() << "parsed: " << input;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad " + field), std::string::npos)
+          << e.what();
+    }
+  }
+  // Priorities stay signed.
+  WorkloadSpec low = spec;
+  low.tenants[0].priority = -1;
+  EXPECT_EQ(WorkloadSpec::parse(low.serialize()).tenants[0].priority, -1);
 }
 
 TEST(WorkloadSpecTest, ScaleToJobsHitsTheTarget) {
@@ -88,10 +115,11 @@ TEST(ScenarioTest, JournalIsBitwiseIdenticalAcrossWorkerCounts) {
   // Pins the journal bytes across commits, not just across worker
   // counts: a deliberate format or RNG-stream change updates this value.
   EXPECT_EQ(fnv::bytes(serial_bytes.data(), serial_bytes.size(), fnv::kOffset),
-            0xa5ba8cbe8f797bd1ull);
+            0x49e2313dd063d56cull);
 
   // The recorded run is invariant-clean and SLO-analyzable.
   const obs::Journal::Parsed parsed = parse_str(serial_bytes);
+  EXPECT_EQ(parsed.header_value("rng"), "2");
   EXPECT_EQ(check_journal(parsed), std::vector<std::string>{});
 
   const std::map<std::string, TenantSlo> slo = compute_slo(parsed);

@@ -10,10 +10,12 @@ turns those into CI failures. Rules (see docs/ARCHITECTURE.md
 
   nondeterminism   Bans nondeterminism escapes in src/: std::random_device,
                    rand()/srand(), time()/clock(), std::chrono::system_clock
-                   (wall clock; steady_clock is fine), and mt19937 engines
-                   constructed without an explicit seed. All randomness
-                   must flow through qs::Rng / split_seed so results are a
-                   pure function of (inputs, seed).
+                   (wall clock; steady_clock is fine), and <random> itself
+                   (#include <random>, mt19937 engines, std::*_distribution):
+                   its algorithms are implementation-defined, so a libc++
+                   build would draw other streams from the same seed. All
+                   randomness must flow through qs::Rng / split_seed so
+                   results are a pure function of (inputs, seed).
 
   unordered-iter   Flags iteration over std::unordered_map/set in files
                    that define fingerprint() digests (and any file listed
@@ -129,14 +131,13 @@ NONDETERMINISM_PATTERNS = [
     (re.compile(r"\bsystem_clock\b"),
      "std::chrono::system_clock is the wall clock; time must flow "
      "through obs::Clock (src/obs/clock.h)"),
-    # An mt19937 declared/constructed with no seed argument silently uses
-    # the fixed default seed -- usually a copy-paste away from "every
-    # worker draws the same stream". Engines must take an explicit seed.
-    (re.compile(r"\bmt19937(?:_64)?\s+\w+\s*(?:;|\{\s*\}|\(\s*\))"),
-     "mt19937 without an explicit seed; thread a split_seed-derived seed "
-     "through qs::Rng"),
-    (re.compile(r"\bmt19937(?:_64)?\s*(?:\(\s*\)|\{\s*\})"),
-     "temporary mt19937 without an explicit seed"),
+    # The standard leaves the distributions' algorithms to each library,
+    # so the same seed draws other streams under libc++; qs::Rng defines
+    # its own (common/rng.h).
+    (re.compile(r"#\s*include\s*<random>|\bmt19937\w*|"
+                r"\bstd::\w+_distribution\b"),
+     "<random> engines and distributions are implementation-defined; "
+     "draw through qs::Rng"),
 ]
 
 RAW_CLOCK_RE = re.compile(r"\b(steady_clock|high_resolution_clock)\b")

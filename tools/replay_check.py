@@ -12,6 +12,12 @@ default 2): the replay contract says the journal bytes are independent
 of it, so replaying a journal recorded at 8 workers with 2 workers is
 not a weaker check but a stronger one.
 
+Before the byte diff, the two journals' ``H rng=`` headers (the RNG
+stream version, qs::kRngStreamVersion) must agree: a journal recorded
+under another stream cannot replay, and the check says so by name
+instead of reporting a first differing line. A journal without the
+header predates it and reads as version 1.
+
 Usage:
     tools/replay_check.py journal.qsj [--runner build/scenario_runner]
                                       [--workers N]
@@ -19,30 +25,38 @@ Usage:
 Exit codes: 0 = byte-identical, 1 = divergence or error.
 """
 
+from __future__ import annotations
+
 import argparse
 import pathlib
 import subprocess
 import sys
 import tempfile
 
-HEADER_PREFIX = "H spec="
+HEADER_PREFIX = "H "
 MAGIC = "QSJ1"
 
 
-def read_spec(journal_path: pathlib.Path) -> str:
-    """Extracts the WorkloadSpec line from the journal header."""
+def read_headers(journal_path: pathlib.Path) -> dict[str, str]:
+    """The journal's ``H key=value`` header fields."""
+    headers: dict[str, str] = {}
     with journal_path.open("r", encoding="utf-8") as handle:
         first = handle.readline().rstrip("\n")
         if first != MAGIC:
             raise SystemExit(f"{journal_path}: not a journal (missing {MAGIC})")
         for line in handle:
             line = line.rstrip("\n")
-            if line.startswith(HEADER_PREFIX):
-                return line[len(HEADER_PREFIX):]
             if line.startswith("E ") or line.startswith("F "):
                 break
-    raise SystemExit(f"{journal_path}: no '{HEADER_PREFIX}' header -- "
-                     "was it produced by scenario_runner?")
+            if line.startswith(HEADER_PREFIX):
+                key, _, value = line[len(HEADER_PREFIX):].partition("=")
+                headers.setdefault(key, value)
+    return headers
+
+
+def rng_version(headers: dict[str, str]) -> str:
+    """The RNG stream a journal was drawn from; 1 before the header."""
+    return headers.get("rng", "1")
 
 
 def first_divergence(original: bytes, replay: bytes) -> str:
@@ -79,7 +93,11 @@ def main() -> int:
         print(f"replay_check: no such runner: {args.runner}", file=sys.stderr)
         return 1
 
-    spec = read_spec(args.journal)
+    headers = read_headers(args.journal)
+    if "spec" not in headers:
+        raise SystemExit(f"{args.journal}: no 'H spec=' header -- "
+                         "was it produced by scenario_runner?")
+    spec = headers["spec"]
     original = args.journal.read_bytes()
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -93,6 +111,15 @@ def main() -> int:
                   file=sys.stderr)
             return 1
         replay = replay_path.read_bytes()
+        replay_rng = rng_version(read_headers(replay_path))
+
+    recorded_rng = rng_version(headers)
+    if recorded_rng != replay_rng:
+        print("replay_check: FAIL -- RNG stream mismatch: the journal was "
+              f"recorded with rng stream version {recorded_rng}, this runner "
+              f"draws version {replay_rng}; every sampled value differs, so "
+              "no replay can reproduce it", file=sys.stderr)
+        return 1
 
     if replay == original:
         events = sum(1 for line in original.splitlines()
