@@ -247,15 +247,9 @@ void CompiledCircuit::run_trajectory(StateVector& psi, Rng& rng,
       kernels::apply_diagonal(step.diag.data(), *step.plan, amps, scratch);
     else
       kernels::apply(step.op, *step.plan, amps, scratch);
-    for (const CompiledChannel& ch : step.channels) {
-      scratch.weights.assign(ch.kraus.size(), 0.0);
-      kernels::accumulate_channel_probabilities(ch.kraus, *ch.plan, amps,
-                                                scratch,
-                                                scratch.weights.data());
-      const std::size_t m = rng.discrete(scratch.weights);
-      kernels::apply(ch.kraus[m], *ch.plan, amps, scratch);
-      psi.normalize();
-    }
+    for (const CompiledChannel& ch : step.channels)
+      kernels::sample_channel(ch.kraus, *ch.plan, amps, rng.uniform(),
+                              scratch);
   }
 }
 
@@ -267,7 +261,8 @@ void CompiledCircuit::run_trajectory_batch(kernels::StateBatch& batch,
           "CompiledCircuit::run_trajectory_batch: dimension mismatch");
   require(active >= 1 && active <= kW,
           "CompiledCircuit::run_trajectory_batch: bad active lane count");
-  std::size_t chosen[kW] = {};
+  double u[kW];
+  kernels::BranchChoice picks[kW];
   for (const CompiledStep& step : steps_) {
     if (step.kind == CompiledStep::Kind::kDiagonal)
       kernels::batch_apply_diagonal(step.diag.data(), *step.plan, batch,
@@ -275,29 +270,10 @@ void CompiledCircuit::run_trajectory_batch(kernels::StateBatch& batch,
     else
       kernels::batch_apply(step.op, *step.plan, batch, scratch);
     for (const CompiledChannel& ch : step.channels) {
-      const std::size_t outcomes = ch.kraus.size();
-      scratch.lane_probs.resize(outcomes * kW);
-      std::fill(scratch.lane_probs.data(),
-                scratch.lane_probs.data() + outcomes * kW, 0.0);
-      kernels::batch_accumulate_channel_probabilities(
-          ch.kraus, *ch.plan, batch, scratch, scratch.lane_probs.data());
-      // Each lane draws from its own stream against its own weights --
-      // the same single discrete() call per channel as run_trajectory.
-      scratch.weights.resize(outcomes);
-      bool uniform_choice = true;
-      for (std::size_t k = 0; k < active; ++k) {
-        for (std::size_t m = 0; m < outcomes; ++m)
-          scratch.weights[m] = scratch.lane_probs[m * kW + k];
-        chosen[k] = rngs[k].discrete(scratch.weights);
-        if (chosen[k] != chosen[0]) uniform_choice = false;
-      }
-      if (uniform_choice)
-        kernels::batch_apply(ch.kraus[chosen[0]], *ch.plan, batch, scratch);
-      else
-        for (std::size_t k = 0; k < active; ++k)
-          kernels::batch_apply_lane(ch.kraus[chosen[k]], *ch.plan, batch, k,
-                                    scratch);
-      kernels::batch_normalize(batch, active);
+      // One draw per lane from its own stream, as in run_trajectory.
+      for (std::size_t k = 0; k < active; ++k) u[k] = rngs[k].uniform();
+      kernels::batch_sample_channel(ch.kraus, *ch.plan, batch, u, active,
+                                    scratch, picks);
     }
   }
 }

@@ -63,8 +63,10 @@ struct PlanOptions {
 };
 
 /// One pre-resolved noise channel application: Kraus operators analyzed
-/// into their kernel class (standard channels are all monomial) + shared
-/// plan.
+/// into their kernel class (standard channels are all monomial, and the
+/// no-error branch of depolarizing and dephasing is c I) + shared plan.
+/// The sets come from NoiseModel::channels_after, so they are trace
+/// preserving, as the Kraus samplers require.
 struct CompiledChannel {
   std::vector<kernels::OpKernel> kraus;
   std::vector<int> sites;
@@ -180,8 +182,9 @@ class CompiledCircuit {
   void run_pure(StateVector& psi, kernels::Scratch& scratch) const;
 
   /// One quantum trajectory: gates exactly, each channel sampled to a
-  /// single Kraus branch. Consumes `rng` in the identical order to the
-  /// gate-by-gate TrajectoryBackend::apply.
+  /// single Kraus branch by kernels::sample_channel with one rng.uniform()
+  /// per channel. Consumes `rng` in the identical order to, and ends
+  /// bitwise equal to, the gate-by-gate TrajectoryBackend::apply.
   void run_trajectory(StateVector& psi, Rng& rng,
                       kernels::Scratch& scratch) const;
 
@@ -190,10 +193,10 @@ class CompiledCircuit {
   /// rows load once per batch), each lane consuming its own RNG stream
   /// rngs[k] in the identical order to run_trajectory. Lane k of the batch
   /// ends bitwise-identical to run_trajectory with rngs[k] from the same
-  /// initial state, for every `active` in [1, StateBatch::kLanes]. When
-  /// all lanes sample the same Kraus branch (overwhelmingly the common
-  /// case at realistic noise rates), the branch applies batch-wide;
-  /// divergent lanes fall back to per-lane application.
+  /// initial state, for every `active` in [1, StateBatch::kLanes].
+  /// Channels go through kernels::batch_sample_channel: lanes on a c I
+  /// branch (the usual depolarizing/dephasing outcome) cost nothing, and
+  /// each other branch chosen applies in one pass over its lanes.
   void run_trajectory_batch(kernels::StateBatch& batch, Rng* rngs,
                             std::size_t active,
                             kernels::Scratch& scratch) const;

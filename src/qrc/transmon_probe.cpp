@@ -41,14 +41,20 @@ TransmonProbeReservoir::TransmonProbeReservoir(
       space_(QuditSpace({2, config.cavity_levels})),
       probe_unitary_(evolution_unitary(build_probe_hamiltonian(config),
                                        config.probe_time)),
-      reset_x_(Matrix{{0.0, 1.0}, {1.0, 0.0}}) {
+      reset_x_(Matrix{{0.0, 1.0}, {1.0, 0.0}}),
+      cavity_plan_(detail::make_block_plan(space_, {1})) {
   require(cfg_.cavity_levels >= 2, "TransmonProbeReservoir: levels >= 2");
   require(cfg_.probes_per_step >= 1 && cfg_.ensemble >= 1,
           "TransmonProbeReservoir: probes and ensemble must be positive");
   require(cfg_.kappa >= 0.0, "TransmonProbeReservoir: negative kappa");
   if (cfg_.kappa > 0.0) {
     const double gamma = 1.0 - std::exp(-cfg_.kappa * cfg_.probe_time);
-    loss_kraus_ = amplitude_damping_channel(cfg_.cavity_levels, gamma);
+    const std::vector<Matrix> loss =
+        amplitude_damping_channel(cfg_.cavity_levels, gamma);
+    require(is_cptp(loss),
+            "TransmonProbeReservoir: loss channel is not trace preserving");
+    for (const Matrix& k : loss)
+      loss_kraus_.push_back(kernels::OpKernel::analyze(k));
   }
 }
 
@@ -76,12 +82,17 @@ RMatrix TransmonProbeReservoir::run(const std::vector<double>& input,
     Rng member_rng(split_seed(root, m));
     RMatrix record(input.size(), num_features());
     StateVector psi(space_);
+    kernels::Scratch scratch;
     for (std::size_t t = 0; t < input.size(); ++t) {
       psi.apply(displacement(d, cplx{cfg_.input_gain * input[t], 0.0}), {1});
       for (int p = 0; p < cfg_.probes_per_step; ++p) {
         psi.apply(probe_unitary_, {0, 1});
+        // The draw and walk of StateVector::apply_channel_sampled, with the
+        // set checked and analyzed once, in the constructor.
         if (!loss_kraus_.empty())
-          psi.apply_channel_sampled(loss_kraus_, {1}, member_rng);
+          kernels::sample_channel(loss_kraus_, cavity_plan_,
+                                  psi.amplitudes().data(),
+                                  member_rng.uniform(), scratch);
         const int outcome = psi.measure_site(0, member_rng);
         record(t, static_cast<std::size_t>(p)) = outcome;
         if (outcome == 1) psi.apply(reset_x_, {0});  // active reset

@@ -18,6 +18,8 @@
 #include "common/rng.h"
 #include "linalg/matrix.h"
 #include "linalg/real_matrix.h"
+#include "qudit/block_plan.h"
+#include "qudit/kernels.h"
 #include "qudit/space.h"
 #include "qudit/state_vector.h"
 
@@ -64,7 +66,10 @@ class TransmonProbeReservoir {
   QuditSpace space_;     ///< {2, cavity_levels}: qubit site 0, cavity 1
   Matrix probe_unitary_; ///< exp(-i H probe_time), precomputed
   Matrix reset_x_;       ///< qubit flip for active reset
-  std::vector<Matrix> loss_kraus_;  ///< cavity loss per probe cycle
+  /// Cavity loss per probe cycle, analyzed once (empty when kappa = 0),
+  /// and the cavity site's block plan it is sampled with.
+  std::vector<kernels::OpKernel> loss_kraus_;
+  detail::BlockPlan cavity_plan_;
 };
 
 /// Signal-classification dataset in the spirit of [27]: segments of two

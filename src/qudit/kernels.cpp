@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/require.h"
 
@@ -37,6 +38,26 @@ inline v4d vload(const double* p) {
 inline void vstore(double* p, v4d v) { __builtin_memcpy(p, &v, sizeof(v)); }
 
 inline v4d vbroadcast(double x) { return v4d{x, x, x, x}; }
+
+/// Four lane masks (each all-ones or zero), for bitwise lane selection.
+using v4u = std::uint64_t __attribute__((vector_size(32), aligned(8)));
+
+inline v4u vload_mask(const std::uint64_t* p) {
+  v4u v;
+  __builtin_memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+/// Lane-wise mask ? a : b, bit for bit (no arithmetic touches either).
+inline v4d vselect(v4u mask, v4d a, v4d b) {
+  v4u ua, ub;
+  __builtin_memcpy(&ua, &a, sizeof(ua));
+  __builtin_memcpy(&ub, &b, sizeof(ub));
+  const v4u r = (ua & mask) | (ub & ~mask);
+  v4d out;
+  __builtin_memcpy(&out, &r, sizeof(out));
+  return out;
+}
 
 /// Swaps the two halves of each interleaved complex pair:
 /// [r0, i0, r1, i1] -> [i0, r0, i1, r1].
@@ -486,6 +507,11 @@ OpKernel OpKernel::analyze(const Matrix& m) {
   }
   if (monomial) {
     op.kind = Kind::kMonomial;
+    op.scaled_identity = true;
+    for (std::size_t r = 0; r < op.block && op.scaled_identity; ++r)
+      op.scaled_identity =
+          op.col[r] == r &&
+          std::memcmp(&op.coef[r], &op.coef[0], sizeof(cplx)) == 0;
   } else {
     op.coef.clear();
     op.col.clear();
@@ -497,8 +523,9 @@ OpKernel OpKernel::analyze(const Matrix& m) {
 //
 // The per-block probability reduction `part` accumulates in row order and
 // probs[m] accumulates in base order; both orders are the determinism
-// contract, so these stay scalar on the single-state path (the batched
-// variant vectorizes across trajectory lanes instead).
+// contract, so these stay scalar on the single-state path (the Kraus
+// samplers below keep the same orders, and their batched variant
+// vectorizes across trajectory lanes instead).
 
 void accumulate_channel_probabilities(const std::vector<Matrix>& kraus,
                                       const detail::BlockPlan& plan,
@@ -524,44 +551,6 @@ void accumulate_channel_probabilities(const std::vector<Matrix>& kraus,
         cplx acc = 0.0;
         for (std::size_t b = 0; b < block; ++b) acc += row[b] * temp[b];
         part += std::norm(acc);
-      }
-      probs[m] += part;
-    }
-  }
-}
-
-void accumulate_channel_probabilities(const std::vector<OpKernel>& kraus,
-                                      const detail::BlockPlan& plan,
-                                      const cplx* amps, Scratch& scratch,
-                                      double* probs) {
-  const std::size_t block = plan.block;
-  scratch.reserve_block(block);
-  cplx* temp = scratch.temp.data();
-  const std::size_t* offsets = plan.offsets.data();
-  for (std::size_t base : plan.bases) {
-    const cplx* p = amps + base;
-    if (plan.single_site) {
-      const std::size_t stride = plan.site_stride;
-      for (std::size_t a = 0; a < block; ++a) temp[a] = p[a * stride];
-    } else {
-      for (std::size_t a = 0; a < block; ++a) temp[a] = p[offsets[a]];
-    }
-    for (std::size_t m = 0; m < kraus.size(); ++m) {
-      const OpKernel& k = kraus[m];
-      double part = 0.0;
-      if (k.kind == OpKernel::Kind::kMonomial) {
-        const cplx* coef = k.coef.data();
-        const std::size_t* col = k.col.data();
-        for (std::size_t a = 0; a < block; ++a)
-          part += std::norm(coef[a] * temp[col[a]]);
-      } else {
-        const cplx* kd = k.dense.data();
-        for (std::size_t a = 0; a < block; ++a) {
-          const cplx* row = kd + a * block;
-          cplx acc = 0.0;
-          for (std::size_t b = 0; b < block; ++b) acc += row[b] * temp[b];
-          part += std::norm(acc);
-        }
       }
       probs[m] += part;
     }
@@ -652,74 +641,108 @@ inline std::size_t row_index(const detail::BlockPlan& plan, std::size_t base,
                           : base + plan.offsets[a];
 }
 
-/// Gathers one block of every lane into split tile planes:
-/// tile_re[a * kW + k], tile_im[a * kW + k].
-inline void gather_batch_tile(const detail::BlockPlan& plan,
-                              const double* re, const double* im,
-                              std::size_t base, std::size_t block,
-                              double* tile_re, double* tile_im) {
-  for (std::size_t a = 0; a < block; ++a) {
-    const std::size_t e = row_index(plan, base, a) * kW;
-    vstore(tile_re + a * kW, vload(re + e));
-    vstore(tile_re + a * kW + 4, vload(re + e + 4));
-    vstore(tile_im + a * kW, vload(im + e));
-    vstore(tile_im + a * kW + 4, vload(im + e + 4));
-  }
+/// Counts one batched sweep of a `block`-sized operator in its tier.
+inline void count_batched(std::size_t block, DispatchCounts& dispatch) {
+  ++dispatch.batched;
+  if (specialized_block(block))
+    ++dispatch.specialized;
+  else if (block <= kMaxSimdBlock)
+    ++dispatch.generic;
+  else
+    ++dispatch.scalar;
 }
 
-/// Dense matvec of one block across all lanes. Inputs come from the tile
-/// (gathered before any write), outputs store straight to the planes.
-inline void batch_dense_block(const cplx* op, std::size_t block,
-                              const detail::BlockPlan& plan, std::size_t base,
-                              double* re, double* im, const double* tile_re,
-                              const double* tile_im) {
-  for (std::size_t a = 0; a < block; ++a) {
-    const cplx* row = op + a * block;
-    v4d ar0 = vbroadcast(0.0), ar1 = vbroadcast(0.0);
-    v4d ai0 = vbroadcast(0.0), ai1 = vbroadcast(0.0);
-    for (std::size_t b = 0; b < block; ++b) {
-      const v4d orv = vbroadcast(row[b].real());
-      const v4d oiv = vbroadcast(row[b].imag());
-      const v4d noiv = -oiv;
-      const v4d tr0 = vload(tile_re + b * kW);
-      const v4d tr1 = vload(tile_re + b * kW + 4);
-      const v4d ti0 = vload(tile_im + b * kW);
-      const v4d ti1 = vload(tile_im + b * kW + 4);
-      ar0 = ar0 + (orv * tr0 + noiv * ti0);
-      ar1 = ar1 + (orv * tr1 + noiv * ti1);
-      ai0 = ai0 + (orv * ti0 + oiv * tr0);
-      ai1 = ai1 + (orv * ti1 + oiv * tr1);
-    }
-    const std::size_t e = row_index(plan, base, a) * kW;
-    vstore(re + e, ar0);
-    vstore(re + e + 4, ar1);
-    vstore(im + e, ai0);
-    vstore(im + e + 4, ai1);
-  }
+/// One amplitude row across every lane: lanes 0-3 in r0/i0, 4-7 in r1/i1.
+struct LaneRow {
+  v4d r0, r1, i0, i1;
+};
+
+inline void store_row(double* re, double* im, std::size_t e,
+                      const LaneRow& v) {
+  vstore(re + e, v.r0);
+  vstore(re + e + 4, v.r1);
+  vstore(im + e, v.i0);
+  vstore(im + e + 4, v.i1);
 }
 
-/// Monomial apply of one block across all lanes.
-inline void batch_monomial_block(const cplx* coef, const std::size_t* col,
-                                 std::size_t block,
-                                 const detail::BlockPlan& plan,
-                                 std::size_t base, double* re, double* im,
-                                 const double* tile_re,
-                                 const double* tile_im) {
-  for (std::size_t a = 0; a < block; ++a) {
-    const v4d crv = vbroadcast(coef[a].real());
-    const v4d civ = vbroadcast(coef[a].imag());
-    const v4d nciv = -civ;
-    const std::size_t c = col[a];
-    const v4d tr0 = vload(tile_re + c * kW);
-    const v4d tr1 = vload(tile_re + c * kW + 4);
-    const v4d ti0 = vload(tile_im + c * kW);
-    const v4d ti1 = vload(tile_im + c * kW + 4);
-    const std::size_t e = row_index(plan, base, a) * kW;
-    vstore(re + e, crv * tr0 + nciv * ti0);
-    vstore(re + e + 4, crv * tr1 + nciv * ti1);
-    vstore(im + e, crv * ti0 + civ * tr0);
-    vstore(im + e + 4, crv * ti1 + civ * tr1);
+/// One block's rows across every lane, gathered into split tile planes:
+/// row a of lane k at re[a * kW + k], im[a * kW + k].
+struct TileRows {
+  const double* re;
+  const double* im;
+
+  LaneRow row(std::size_t a) const {
+    return {vload(re + a * kW), vload(re + a * kW + 4), vload(im + a * kW),
+            vload(im + a * kW + 4)};
   }
+};
+
+/// coef * x[col] for every lane.
+inline LaneRow monomial_row(const cplx& coef, std::size_t col,
+                            const TileRows& x) {
+  const v4d crv = vbroadcast(coef.real());
+  const v4d civ = vbroadcast(coef.imag());
+  const v4d nciv = -civ;
+  const LaneRow t = x.row(col);
+  return {crv * t.r0 + nciv * t.i0, crv * t.r1 + nciv * t.i1,
+          crv * t.i0 + civ * t.r0, crv * t.i1 + civ * t.r1};
+}
+
+/// sum_b row[b] * x[b] for every lane, accumulated in b order.
+inline LaneRow dense_row(const cplx* row, std::size_t block,
+                         const TileRows& x) {
+  LaneRow acc{vbroadcast(0.0), vbroadcast(0.0), vbroadcast(0.0),
+              vbroadcast(0.0)};
+  for (std::size_t b = 0; b < block; ++b) {
+    const v4d orv = vbroadcast(row[b].real());
+    const v4d oiv = vbroadcast(row[b].imag());
+    const v4d noiv = -oiv;
+    const LaneRow t = x.row(b);
+    acc.r0 = acc.r0 + (orv * t.r0 + noiv * t.i0);
+    acc.r1 = acc.r1 + (orv * t.r1 + noiv * t.i1);
+    acc.i0 = acc.i0 + (orv * t.i0 + oiv * t.r0);
+    acc.i1 = acc.i1 + (orv * t.i1 + oiv * t.r1);
+  }
+  return acc;
+}
+
+/// Walks the plan's blocks in table order, gathering each block of every
+/// lane into the scratch tile x before calling body(base, x, op_row):
+/// x.row(a) is the block's row a, and op_row(a) is row a of op * x. Body
+/// may overwrite any row of the block in the planes. The operator shape
+/// is resolved once, outside the walk.
+template <typename Body>
+inline void for_each_op_block(const OpKernel& op,
+                              const detail::BlockPlan& plan,
+                              const StateBatch& batch, Scratch& scratch,
+                              Body&& body) {
+  const std::size_t block = plan.block;
+  const double* re = batch.re();
+  const double* im = batch.im();
+  scratch.tile.resize(2 * block * kW);
+  double* tile_re = scratch.tile.data();
+  double* tile_im = tile_re + block * kW;
+  const TileRows x{tile_re, tile_im};
+  const auto walk = [&](auto&& op_row) {
+    for_each_block(plan, [&](std::size_t base) {
+      for (std::size_t a = 0; a < block; ++a) {
+        const std::size_t e = row_index(plan, base, a) * kW;
+        vstore(tile_re + a * kW, vload(re + e));
+        vstore(tile_re + a * kW + 4, vload(re + e + 4));
+        vstore(tile_im + a * kW, vload(im + e));
+        vstore(tile_im + a * kW + 4, vload(im + e + 4));
+      }
+      body(base, x, op_row);
+    });
+  };
+  if (op.kind == OpKernel::Kind::kMonomial) {
+    const cplx* coef = op.coef.data();
+    const std::size_t* col = op.col.data();
+    walk([&](std::size_t a) { return monomial_row(coef[a], col[a], x); });
+    return;
+  }
+  const cplx* dense = op.dense.data();
+  walk([&](std::size_t a) { return dense_row(dense + a * block, block, x); });
 }
 
 }  // namespace
@@ -727,68 +750,15 @@ inline void batch_monomial_block(const cplx* coef, const std::size_t* col,
 void batch_apply(const OpKernel& op, const detail::BlockPlan& plan,
                  StateBatch& batch, Scratch& scratch) {
   const std::size_t block = plan.block;
-  scratch.tile.resize(2 * block * kW);
-  double* tile_re = scratch.tile.data();
-  double* tile_im = scratch.tile.data() + block * kW;
+  count_batched(block, scratch.dispatch);
   double* re = batch.re();
   double* im = batch.im();
-  ++scratch.dispatch.batched;
-  if (specialized_block(block))
-    ++scratch.dispatch.specialized;
-  else if (block <= kMaxSimdBlock)
-    ++scratch.dispatch.generic;
-  else
-    ++scratch.dispatch.scalar;
-  if (op.kind == OpKernel::Kind::kMonomial) {
-    const cplx* coef = op.coef.data();
-    const std::size_t* col = op.col.data();
-    for_each_block(plan, [&](std::size_t base) {
-      gather_batch_tile(plan, re, im, base, block, tile_re, tile_im);
-      batch_monomial_block(coef, col, block, plan, base, re, im, tile_re,
-                           tile_im);
-    });
-    return;
-  }
-  const cplx* dense = op.dense.data();
-  for_each_block(plan, [&](std::size_t base) {
-    gather_batch_tile(plan, re, im, base, block, tile_re, tile_im);
-    batch_dense_block(dense, block, plan, base, re, im, tile_re, tile_im);
-  });
-}
-
-void batch_apply_lane(const OpKernel& op, const detail::BlockPlan& plan,
-                      StateBatch& batch, std::size_t lane, Scratch& scratch) {
-  const std::size_t block = plan.block;
-  scratch.reserve_block(block);
-  cplx* temp = scratch.temp.data();
-  double* re = batch.re();
-  double* im = batch.im();
-  ++scratch.dispatch.batched;
-  ++scratch.dispatch.scalar;
-  for_each_block(plan, [&](std::size_t base) {
-    for (std::size_t a = 0; a < block; ++a) {
-      const std::size_t e = row_index(plan, base, a) * kW + lane;
-      temp[a] = cplx{re[e], im[e]};
-    }
-    if (op.kind == OpKernel::Kind::kMonomial) {
-      for (std::size_t a = 0; a < block; ++a) {
-        const cplx v = op.coef[a] * temp[op.col[a]];
-        const std::size_t e = row_index(plan, base, a) * kW + lane;
-        re[e] = v.real();
-        im[e] = v.imag();
-      }
-    } else {
-      const cplx* dense = op.dense.data();
-      for (std::size_t a = 0; a < block; ++a) {
-        const cplx* row = dense + a * block;
-        cplx acc = 0.0;
-        for (std::size_t b = 0; b < block; ++b) acc += row[b] * temp[b];
-        const std::size_t e = row_index(plan, base, a) * kW + lane;
-        re[e] = acc.real();
-        im[e] = acc.imag();
-      }
-    }
-  });
+  for_each_op_block(
+      op, plan, batch, scratch,
+      [&](std::size_t base, const TileRows&, auto&& op_row) {
+        for (std::size_t a = 0; a < block; ++a)
+          store_row(re, im, row_index(plan, base, a) * kW, op_row(a));
+      });
 }
 
 void batch_apply_diagonal(const cplx* diag, const detail::BlockPlan& plan,
@@ -796,13 +766,7 @@ void batch_apply_diagonal(const cplx* diag, const detail::BlockPlan& plan,
   const std::size_t block = plan.block;
   double* re = batch.re();
   double* im = batch.im();
-  ++scratch.dispatch.batched;
-  if (specialized_block(block))
-    ++scratch.dispatch.specialized;
-  else if (block <= kMaxSimdBlock)
-    ++scratch.dispatch.generic;
-  else
-    ++scratch.dispatch.scalar;
+  count_batched(block, scratch.dispatch);
   for_each_block(plan, [&](std::size_t base) {
     for (std::size_t a = 0; a < block; ++a) {
       const v4d drv = vbroadcast(diag[a].real());
@@ -821,104 +785,195 @@ void batch_apply_diagonal(const cplx* diag, const detail::BlockPlan& plan,
   });
 }
 
-void batch_accumulate_channel_probabilities(
-    const std::vector<OpKernel>& kraus, const detail::BlockPlan& plan,
-    const StateBatch& batch, Scratch& scratch, double* probs) {
+// --- Kraus-branch sampling -----------------------------------------------
+//
+// The scalar sampler is the reference; the batched one evaluates the same
+// expression trees lane by lane (weights: abs2 summed in row order within
+// a block, blocks in base order; apply: (K x) * (1 / sqrt(w)) per
+// component), so each lane reproduces the scalar sampler bitwise.
+
+namespace {
+
+/// One state's progress through the lazy walk over Kraus branches.
+struct BranchWalk {
+  double acc = 0.0;    ///< w_0 + ... + w_m so far
+  bool done = false;   ///< u fell inside branch pick.branch
+  bool any = false;    ///< some branch so far had nonzero weight
+  BranchChoice pick;   ///< the chosen branch, or the last nonzero one
+
+  /// Feeds branch m's weight w; returns true once u < acc. The walk can
+  /// stop only at a branch with w > 0: u >= 0, and acc rises only by w.
+  bool step(std::size_t m, double w, double u) {
+    acc += w;
+    if (w > 0.0) {
+      pick = {m, w};
+      any = true;
+    }
+    done = u < acc;
+    return done;
+  }
+};
+
+/// ||K psi||^2 of one operator on a single state.
+double branch_weight(const OpKernel& k, const detail::BlockPlan& plan,
+                     const cplx* amps, cplx* temp) {
   const std::size_t block = plan.block;
-  scratch.tile.resize(2 * block * kW);
-  double* tile_re = scratch.tile.data();
-  double* tile_im = scratch.tile.data() + block * kW;
-  const double* re = batch.re();
-  const double* im = batch.im();
-  ++scratch.dispatch.batched;
+  double w = 0.0;
   for_each_block(plan, [&](std::size_t base) {
-    gather_batch_tile(plan, re, im, base, block, tile_re, tile_im);
-    for (std::size_t m = 0; m < kraus.size(); ++m) {
-      const OpKernel& k = kraus[m];
-      v4d part0 = vbroadcast(0.0), part1 = vbroadcast(0.0);
-      if (k.kind == OpKernel::Kind::kMonomial) {
-        // part += |coef[a] * x[col[a]]|^2, lane-wise, row order.
-        for (std::size_t a = 0; a < block; ++a) {
-          const v4d crv = vbroadcast(k.coef[a].real());
-          const v4d civ = vbroadcast(k.coef[a].imag());
-          const v4d nciv = -civ;
-          const std::size_t c = k.col[a];
-          const v4d tr0 = vload(tile_re + c * kW);
-          const v4d tr1 = vload(tile_re + c * kW + 4);
-          const v4d ti0 = vload(tile_im + c * kW);
-          const v4d ti1 = vload(tile_im + c * kW + 4);
-          const v4d vr0 = crv * tr0 + nciv * ti0;
-          const v4d vr1 = crv * tr1 + nciv * ti1;
-          const v4d vi0 = crv * ti0 + civ * tr0;
-          const v4d vi1 = crv * ti1 + civ * tr1;
-          part0 = part0 + (vr0 * vr0 + vi0 * vi0);
-          part1 = part1 + (vr1 * vr1 + vi1 * vi1);
-        }
-      } else {
-        const cplx* dense = k.dense.data();
-        for (std::size_t a = 0; a < block; ++a) {
-          const cplx* row = dense + a * block;
-          v4d ar0 = vbroadcast(0.0), ar1 = vbroadcast(0.0);
-          v4d ai0 = vbroadcast(0.0), ai1 = vbroadcast(0.0);
-          for (std::size_t b = 0; b < block; ++b) {
-            const v4d orv = vbroadcast(row[b].real());
-            const v4d oiv = vbroadcast(row[b].imag());
-            const v4d noiv = -oiv;
-            const v4d tr0 = vload(tile_re + b * kW);
-            const v4d tr1 = vload(tile_re + b * kW + 4);
-            const v4d ti0 = vload(tile_im + b * kW);
-            const v4d ti1 = vload(tile_im + b * kW + 4);
-            ar0 = ar0 + (orv * tr0 + noiv * ti0);
-            ar1 = ar1 + (orv * tr1 + noiv * ti1);
-            ai0 = ai0 + (orv * ti0 + oiv * tr0);
-            ai1 = ai1 + (orv * ti1 + oiv * tr1);
-          }
-          part0 = part0 + (ar0 * ar0 + ai0 * ai0);
-          part1 = part1 + (ar1 * ar1 + ai1 * ai1);
-        }
+    for (std::size_t a = 0; a < block; ++a)
+      temp[a] = amps[row_index(plan, base, a)];
+    double part = 0.0;
+    if (k.kind == OpKernel::Kind::kMonomial) {
+      for (std::size_t a = 0; a < block; ++a)
+        part += abs2(k.coef[a] * temp[k.col[a]]);
+    } else {
+      const cplx* kd = k.dense.data();
+      for (std::size_t a = 0; a < block; ++a) {
+        const cplx* row = kd + a * block;
+        cplx acc = 0.0;
+        for (std::size_t b = 0; b < block; ++b) acc += row[b] * temp[b];
+        part += abs2(acc);
       }
-      double* row = probs + m * kW;
-      vstore(row, vload(row) + part0);
-      vstore(row + 4, vload(row + 4) + part1);
+    }
+    w += part;
+  });
+  return w;
+}
+
+/// psi <- scale * K psi on a single state, in one pass.
+void apply_scaled(const OpKernel& k, const detail::BlockPlan& plan,
+                  cplx* amps, double scale, cplx* temp) {
+  const std::size_t block = plan.block;
+  const auto put = [&](std::size_t base, std::size_t a, const cplx& v) {
+    amps[row_index(plan, base, a)] = {v.real() * scale, v.imag() * scale};
+  };
+  for_each_block(plan, [&](std::size_t base) {
+    for (std::size_t a = 0; a < block; ++a)
+      temp[a] = amps[row_index(plan, base, a)];
+    if (k.kind == OpKernel::Kind::kMonomial) {
+      for (std::size_t a = 0; a < block; ++a)
+        put(base, a, k.coef[a] * temp[k.col[a]]);
+    } else {
+      const cplx* kd = k.dense.data();
+      for (std::size_t a = 0; a < block; ++a) {
+        const cplx* row = kd + a * block;
+        cplx acc = 0.0;
+        for (std::size_t b = 0; b < block; ++b) acc += row[b] * temp[b];
+        put(base, a, acc);
+      }
     }
   });
 }
 
-void batch_normalize(StateBatch& batch, std::size_t active) {
-  const std::size_t dim = batch.dimension();
+/// w[k] = ||K psi_k||^2 for every lane.
+void batch_branch_weights(const OpKernel& k, const detail::BlockPlan& plan,
+                          const StateBatch& batch, Scratch& scratch,
+                          double* w) {
+  const std::size_t block = plan.block;
+  count_batched(block, scratch.dispatch);
+  v4d w0 = vbroadcast(0.0), w1 = vbroadcast(0.0);
+  for_each_op_block(
+      k, plan, batch, scratch,
+      [&](std::size_t, const TileRows&, auto&& op_row) {
+        v4d part0 = vbroadcast(0.0), part1 = vbroadcast(0.0);
+        for (std::size_t a = 0; a < block; ++a) {
+          const LaneRow v = op_row(a);
+          part0 = part0 + (v.r0 * v.r0 + v.i0 * v.i0);
+          part1 = part1 + (v.r1 * v.r1 + v.i1 * v.i1);
+        }
+        w0 = w0 + part0;
+        w1 = w1 + part1;
+      });
+  vstore(w, w0);
+  vstore(w + 4, w1);
+}
+
+/// Lanes with mask[k] set <- scale[k] * K psi_k; every other lane keeps
+/// its amplitudes bit for bit.
+void batch_apply_scaled(const OpKernel& k, const detail::BlockPlan& plan,
+                        StateBatch& batch, const double* scale,
+                        const std::uint64_t* mask, Scratch& scratch) {
+  const std::size_t block = plan.block;
+  count_batched(block, scratch.dispatch);
+  const v4d s0 = vload(scale), s1 = vload(scale + 4);
+  const v4u m0 = vload_mask(mask), m1 = vload_mask(mask + 4);
   double* re = batch.re();
   double* im = batch.im();
-  v4d n0 = vbroadcast(0.0), n1 = vbroadcast(0.0);
-  for (std::size_t i = 0; i < dim; ++i) {
-    const v4d r0 = vload(re + i * kW);
-    const v4d r1 = vload(re + i * kW + 4);
-    const v4d m0 = vload(im + i * kW);
-    const v4d m1 = vload(im + i * kW + 4);
-    n0 = n0 + (r0 * r0 + m0 * m0);
-    n1 = n1 + (r1 * r1 + m1 * m1);
-  }
-  double n2[kW];
-  vstore(n2, n0);
-  vstore(n2 + 4, n1);
-  double inv[kW];
-  for (std::size_t k = 0; k < kW; ++k) {
-    if (k < active) {
-      require(n2[k] > 1e-300, "kernels::batch_normalize: zero state");
-      inv[k] = 1.0 / std::sqrt(n2[k]);
+  for_each_op_block(
+      k, plan, batch, scratch,
+      [&](std::size_t base, const TileRows& x, auto&& op_row) {
+        for (std::size_t a = 0; a < block; ++a) {
+          const LaneRow v = op_row(a);
+          const LaneRow old = x.row(a);
+          store_row(re, im, row_index(plan, base, a) * kW,
+                    {vselect(m0, v.r0 * s0, old.r0),
+                     vselect(m1, v.r1 * s1, old.r1),
+                     vselect(m0, v.i0 * s0, old.i0),
+                     vselect(m1, v.i1 * s1, old.i1)});
+        }
+      });
+}
+
+}  // namespace
+
+BranchChoice sample_channel(const std::vector<OpKernel>& kraus,
+                            const detail::BlockPlan& plan, cplx* amps,
+                            double u, Scratch& scratch) {
+  scratch.reserve_block(plan.block);
+  cplx* temp = scratch.temp.data();
+  BranchWalk walk;
+  for (std::size_t m = 0; m < kraus.size() && !walk.done; ++m) {
+    const OpKernel& k = kraus[m];
+    if (k.scaled_identity) {
+      walk.step(m, abs2(k.coef[0]), u);
     } else {
-      // Idle tail lanes of a partial batch may have been annihilated by a
-      // batch-wide Kraus branch; let them decay to zero instead of
-      // throwing -- they are never read.
-      inv[k] = n2[k] > 1e-300 ? 1.0 / std::sqrt(n2[k]) : 0.0;
+      ++scratch.dispatch.scalar;
+      walk.step(m, branch_weight(k, plan, amps, temp), u);
     }
   }
-  const v4d iv0 = vload(inv);
-  const v4d iv1 = vload(inv + 4);
-  for (std::size_t i = 0; i < dim; ++i) {
-    vstore(re + i * kW, vload(re + i * kW) * iv0);
-    vstore(re + i * kW + 4, vload(re + i * kW + 4) * iv1);
-    vstore(im + i * kW, vload(im + i * kW) * iv0);
-    vstore(im + i * kW + 4, vload(im + i * kW + 4) * iv1);
+  require(walk.any, "kernels::sample_channel: zero state");
+  const OpKernel& k = kraus[walk.pick.branch];
+  if (!k.scaled_identity) {
+    ++scratch.dispatch.scalar;
+    apply_scaled(k, plan, amps, 1.0 / std::sqrt(walk.pick.weight), temp);
+  }
+  return walk.pick;
+}
+
+void batch_sample_channel(const std::vector<OpKernel>& kraus,
+                          const detail::BlockPlan& plan, StateBatch& batch,
+                          const double* u, std::size_t active,
+                          Scratch& scratch, BranchChoice* picks) {
+  BranchWalk walks[kW];
+  std::size_t open = active;
+  double w[kW];
+  for (std::size_t m = 0; m < kraus.size() && open > 0; ++m) {
+    const OpKernel& k = kraus[m];
+    if (k.scaled_identity)
+      std::fill(w, w + kW, abs2(k.coef[0]));
+    else
+      batch_branch_weights(k, plan, batch, scratch, w);
+    for (std::size_t lane = 0; lane < active; ++lane)
+      if (!walks[lane].done && walks[lane].step(m, w[lane], u[lane])) --open;
+  }
+  for (std::size_t lane = 0; lane < active; ++lane) {
+    require(walks[lane].any, "kernels::batch_sample_channel: zero state");
+    picks[lane] = walks[lane].pick;
+  }
+  // One pass per distinct non-identity branch, over the lanes that chose it.
+  bool applied[kW] = {};
+  for (std::size_t lane = 0; lane < active; ++lane) {
+    const std::size_t m = picks[lane].branch;
+    if (applied[lane] || kraus[m].scaled_identity) continue;
+    double scale[kW] = {};
+    std::uint64_t mask[kW] = {};
+    for (std::size_t j = lane; j < active; ++j)
+      if (picks[j].branch == m) {
+        scale[j] = 1.0 / std::sqrt(picks[j].weight);
+        mask[j] = ~std::uint64_t{0};
+        applied[j] = true;
+      }
+    batch_apply_scaled(kraus[m], plan, batch, scale, mask, scratch);
   }
 }
 

@@ -15,7 +15,9 @@
 //   | monomial (<=1 nonzero | apply(OpKernel) monomial   | row coefficient  |
 //   |  per row: Weyl, shift,|  path                      |  + column table  |
 //   |  damping, permutation)|                            |                  |
-//   | Kraus set             | channel_probabilities      | offsets table    |
+//   | Kraus set weights     | channel_probabilities      | offsets table    |
+//   | Kraus branch sampling | sample_channel,            | block walk       |
+//   |  (trajectories)       |  batch_sample_channel      |                  |
 //   | observable contract   | expectation_dense          | offsets table    |
 //
 // Each shape additionally dispatches across three SIMD tiers (recorded in
@@ -49,10 +51,10 @@
 // memory as block x tile strips that stay L1-resident instead of strided
 // full-dimension sweeps per block.
 //
-// Batched trajectories: StateBatch holds kBatchLanes trajectory states in
-// structure-of-arrays planes (split re/im, lane-minor), and the batch_*
-// kernels apply one plan step across every lane before advancing, so
-// operator rows are loaded once per batch instead of once per shot.
+// Batched trajectories: StateBatch holds StateBatch::kLanes trajectory
+// states in structure-of-arrays planes (split re/im, lane-minor), and the
+// batch_* kernels apply one plan step across every lane before advancing,
+// so operator rows are loaded once per batch instead of once per shot.
 //
 // All kernels are thread-compatible: they touch only the spans and scratch
 // they are handed, so one immutable BlockPlan can serve many threads as
@@ -164,9 +166,7 @@ struct Scratch {
   AlignedBuf<cplx> temp;           ///< gathered block amplitudes
   AlignedBuf<cplx> out;            ///< matvec result block
   std::vector<std::size_t> index;  ///< scaled offsets (density-matrix use)
-  std::vector<double> weights;     ///< channel outcome probabilities
   AlignedBuf<double> tile;         ///< SIMD column/batch tile (split planes)
-  AlignedBuf<double> lane_probs;   ///< batched channel weights, kraus-major
   DispatchCounts dispatch;         ///< kernel invocations per SIMD tier
 
   /// Grows (never shrinks) temp/out to hold `block` entries.
@@ -233,6 +233,10 @@ struct OpKernel {
   std::vector<cplx> coef;        ///< kMonomial: row coefficients
   std::vector<std::size_t> col;  ///< kMonomial: source column per row
   std::size_t block = 0;
+  /// K = c I: kMonomial with col[a] == a and every coef bitwise equal to
+  /// c = coef[0]. Such a Kraus branch has the state-independent weight
+  /// |c|^2 on a normalized state and changes it only by a global phase.
+  bool scaled_identity = false;
 
   /// Classifies `m` (square block matrix).
   static OpKernel analyze(const Matrix& m);
@@ -270,8 +274,8 @@ void apply_diagonal(const cplx* diag, const detail::BlockPlan& plan,
                     cplx* amps);
 
 /// Accumulates ||K_m psi||^2 for every Kraus operator into probs (which
-/// must hold kraus.size() zeros-or-running-sums). Same base/operator
-/// iteration order as the legacy StateVector::channel_probabilities.
+/// must hold kraus.size() zeros-or-running-sums): per block, each
+/// operator's row-ordered sum, added in base order.
 void accumulate_channel_probabilities(const std::vector<Matrix>& kraus,
                                       const detail::BlockPlan& plan,
                                       const cplx* amps, Scratch& scratch,
@@ -288,12 +292,33 @@ cplx expectation_dense(const cplx* op, const detail::BlockPlan& plan,
 void apply(const OpKernel& op, const detail::BlockPlan& plan, cplx* amps,
            Scratch& scratch);
 
-/// Kraus-set probabilities over analyzed operators: monomial Kraus rows
-/// cost one multiply each. Accumulates into probs like the Matrix variant.
-void accumulate_channel_probabilities(const std::vector<OpKernel>& kraus,
-                                      const detail::BlockPlan& plan,
-                                      const cplx* amps, Scratch& scratch,
-                                      double* probs);
+// --- Kraus-branch sampling (quantum trajectories) ------------------------
+//
+// One uniform draw u in [0, 1) picks a branch of a trace-preserving Kraus
+// set {K_m} on a normalized state psi by a lazy walk: the weights
+// w_m = ||K_m psi||^2 are computed in order, and only until the first m
+// with u < w_0 + ... + w_m. A branch K = c I (OpKernel::scaled_identity)
+// has the known weight |c|^2 and, when chosen, leaves psi untouched. Any
+// other chosen branch sets psi <- K_m psi / sqrt(w_m) in one pass. When
+// rounding leaves u past the last partial sum, the last branch of nonzero
+// weight is taken; a zero-weight branch is never chosen. Computed weights
+// are bitwise the per-operator sums of accumulate_channel_probabilities'
+// order (row order within a block, blocks in base order). The caller
+// guarantees both preconditions: for a state of norm != 1 the walk still
+// returns a branch, but not with probability ||K_m psi||^2.
+
+/// A sampled Kraus branch and the weight the walk used for it.
+struct BranchChoice {
+  std::size_t branch = 0;  ///< index m into the Kraus set
+  double weight = 0.0;     ///< w_m: |c|^2 for K_m = c I, else ||K_m psi||^2
+};
+
+/// Samples one branch of `kraus` for the state `amps` with draw `u` and
+/// applies it (see above). Every sweep counts as the scalar tier. Throws
+/// std::invalid_argument when every weight is zero (a zero state).
+BranchChoice sample_channel(const std::vector<OpKernel>& kraus,
+                            const detail::BlockPlan& plan, cplx* amps,
+                            double u, Scratch& scratch);
 
 // --- batched trajectory states (structure of arrays) ---------------------
 
@@ -345,26 +370,21 @@ class StateBatch {
 void batch_apply(const OpKernel& op, const detail::BlockPlan& plan,
                  StateBatch& batch, Scratch& scratch);
 
-/// Applies an analyzed operator to one lane only (divergent Kraus
-/// branches); other lanes untouched.
-void batch_apply_lane(const OpKernel& op, const detail::BlockPlan& plan,
-                      StateBatch& batch, std::size_t lane, Scratch& scratch);
-
 /// Applies a diagonal operator to every lane.
 void batch_apply_diagonal(const cplx* diag, const detail::BlockPlan& plan,
                           StateBatch& batch, Scratch& scratch);
 
-/// Kraus-set probabilities per lane: probs[m * StateBatch::kLanes + k]
-/// accumulates ||K_m psi_k||^2 in the same base order as the scalar
-/// accumulate_channel_probabilities.
-void batch_accumulate_channel_probabilities(
-    const std::vector<OpKernel>& kraus, const detail::BlockPlan& plan,
-    const StateBatch& batch, Scratch& scratch, double* probs);
-
-/// Normalizes every lane. Lanes < `active` mirror StateVector::normalize
-/// exactly (including the zero-state guard); lanes >= `active` (idle tail
-/// lanes of a partial batch) silently decay to zero instead of throwing.
-void batch_normalize(StateBatch& batch, std::size_t active);
+/// sample_channel for lanes [0, active) of `batch`, lane k with draw u[k]:
+/// picks[k] and lane k's amplitudes end bitwise what sample_channel gives
+/// for lane k's state alone. A weight pass runs for every lane at once,
+/// and only while some lane's walk is still open; each distinct non-c I
+/// branch chosen costs one pass over the lanes that chose it, each lane
+/// with its own 1/sqrt(w). Lanes >= `active` (idle tail lanes of a
+/// partial batch) and lanes on a c I branch are left untouched.
+void batch_sample_channel(const std::vector<OpKernel>& kraus,
+                          const detail::BlockPlan& plan, StateBatch& batch,
+                          const double* u, std::size_t active,
+                          Scratch& scratch, BranchChoice* picks);
 
 }  // namespace qs::kernels
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/require.h"
+#include "noise/channels.h"
 #include "qudit/block_plan.h"
 #include "qudit/kernels.h"
 
@@ -184,11 +185,17 @@ std::vector<double> StateVector::channel_probabilities(
 std::size_t StateVector::apply_channel_sampled(
     const std::vector<Matrix>& kraus, const std::vector<int>& sites,
     Rng& rng) {
-  const std::vector<double> probs = channel_probabilities(kraus, sites);
-  const std::size_t m = rng.discrete(probs);
-  apply(kraus[m], sites);
-  normalize();
-  return m;
+  require(is_cptp(kraus),
+          "apply_channel_sampled: Kraus set is not trace preserving");
+  const detail::BlockPlan plan = detail::make_block_plan(space_, sites);
+  require(kraus.front().rows() == plan.block,
+          "apply_channel_sampled: Kraus dimension mismatch");
+  std::vector<kernels::OpKernel> ops;
+  ops.reserve(kraus.size());
+  for (const Matrix& k : kraus) ops.push_back(kernels::OpKernel::analyze(k));
+  return kernels::sample_channel(ops, plan, amps_.data(), rng.uniform(),
+                                 local_scratch())
+      .branch;
 }
 
 }  // namespace qs

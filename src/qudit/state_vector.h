@@ -94,9 +94,14 @@ class StateVector {
   std::vector<double> channel_probabilities(
       const std::vector<Matrix>& kraus, const std::vector<int>& sites) const;
 
-  /// Samples a Kraus operator according to channel_probabilities, applies
-  /// it, renormalizes, and returns the sampled index (quantum-trajectory
-  /// unravelling of the channel).
+  /// Quantum-trajectory unravelling of a channel: draws one uniform from
+  /// `rng`, picks Kraus branch m with probability ||K_m psi||^2, sets
+  /// psi <- K_m psi / ||K_m psi|| (a branch K_m = c I leaves psi as it
+  /// is), and returns m. The walk is kernels::sample_channel: weights are
+  /// computed in order only until the draw falls inside one. Requires a
+  /// trace-preserving set (is_cptp; throws std::invalid_argument
+  /// otherwise) and a normalized state, which the caller keeps: the
+  /// weights are outcome probabilities only on a unit-norm psi.
   std::size_t apply_channel_sampled(const std::vector<Matrix>& kraus,
                                     const std::vector<int>& sites, Rng& rng);
 

@@ -94,6 +94,13 @@ double subspace_fidelity(const Matrix& target, const Matrix& padded_u) {
   return std::norm(tr) / static_cast<double>(d * d);
 }
 
+/// r e^{i phi} for any real r. The optimizer leaves the displacement
+/// radius unconstrained, and std::polar requires r >= 0; this is the
+/// expression libstdc++'s std::polar evaluates, so results are unchanged.
+cplx polar_any_radius(double r, double phi) {
+  return {r * std::cos(phi), r * std::sin(phi)};
+}
+
 }  // namespace
 
 SnapSynthResult synthesize_single_mode(const Matrix& target,
@@ -185,7 +192,7 @@ SnapSynthResult synthesize_single_mode(const Matrix& target,
   for (int l = 0; l < best_layers; ++l) {
     const double r = best_params[idx++];
     const double phi = best_params[idx++];
-    circuit.add("D", displacement(d, std::polar(r, phi)), {0},
+    circuit.add("D", displacement(d, polar_any_radius(r, phi)), {0},
                 durations.displacement);
     std::vector<double> phases(static_cast<std::size_t>(d));
     for (int k = 0; k < d; ++k) phases[static_cast<std::size_t>(k)] =
@@ -199,7 +206,7 @@ SnapSynthResult synthesize_single_mode(const Matrix& target,
   {
     const double r = best_params[idx++];
     const double phi = best_params[idx++];
-    circuit.add("D", displacement(d, std::polar(r, phi)), {0},
+    circuit.add("D", displacement(d, polar_any_radius(r, phi)), {0},
                 durations.displacement);
   }
   result.displacement_count = best_layers + 1;

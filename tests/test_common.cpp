@@ -4,9 +4,11 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/require.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -127,6 +129,32 @@ TEST(Rng, DiscreteRejectsZeroTotal) {
 TEST(Rng, IndexWithinRange) {
   Rng rng(11);
   for (int i = 0; i < 1000; ++i) EXPECT_LT(rng.index(7), 7u);
+}
+
+TEST(Require, BothOverloadsThrowWithTheMessage) {
+  // A literal binds to the const char* overload, a composed message to
+  // the std::string one; either way a failed check carries the message.
+  EXPECT_NO_THROW(require(true, "a passing check builds no message"));
+  EXPECT_NO_THROW(ensure(true, std::string("composed ") + "message"));
+  const auto message_of = [](auto&& check) -> std::string {
+    try {
+      check();
+    } catch (const std::invalid_argument& e) {
+      return std::string("invalid_argument: ") + e.what();
+    } catch (const std::logic_error& e) {
+      return std::string("logic_error: ") + e.what();
+    }
+    return "no throw";
+  };
+  const std::string n = std::to_string(7);
+  EXPECT_EQ(message_of([] { require(false, "literal precondition"); }),
+            "invalid_argument: literal precondition");
+  EXPECT_EQ(message_of([&] { require(false, "composed " + n); }),
+            "invalid_argument: composed 7");
+  EXPECT_EQ(message_of([] { ensure(false, "literal invariant"); }),
+            "logic_error: literal invariant");
+  EXPECT_EQ(message_of([&] { ensure(false, "composed " + n); }),
+            "logic_error: composed 7");
 }
 
 TEST(Stats, MeanAndVariance) {

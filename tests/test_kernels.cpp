@@ -10,6 +10,8 @@
 // the dispatch-tier telemetry ride along.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "exec/exec.h"
 #include "gates/qudit_gates.h"
 #include "gates/two_qudit.h"
+#include "noise/channels.h"
 #include "noise/noise_model.h"
 #include "qudit/block_plan.h"
 #include "qudit/kernels.h"
@@ -57,6 +60,20 @@ Matrix random_monomial(std::size_t block, Rng& rng) {
   return m;
 }
 
+std::vector<cplx> random_unit_state(std::size_t n, Rng& rng) {
+  std::vector<cplx> amps = random_amplitudes(n, rng);
+  double n2 = 0.0;
+  for (const cplx& a : amps) n2 += std::norm(a);
+  for (cplx& a : amps) a /= std::sqrt(n2);
+  return amps;
+}
+
+std::vector<kernels::OpKernel> analyze_all(const std::vector<Matrix>& ops) {
+  std::vector<kernels::OpKernel> out;
+  for (const Matrix& m : ops) out.push_back(kernels::OpKernel::analyze(m));
+  return out;
+}
+
 std::vector<cplx> random_diag(std::size_t block, Rng& rng) {
   std::vector<cplx> diag(block);
   for (std::size_t i = 0; i < block; ++i)
@@ -92,11 +109,9 @@ TEST(KernelScratch, BuffersAreCacheLineAligned) {
   kernels::Scratch scratch;
   scratch.reserve_block(33);  // odd size: alignment must not depend on n
   scratch.tile.resize(129);
-  scratch.lane_probs.resize(7);
   EXPECT_TRUE(aligned64(scratch.temp.data()));
   EXPECT_TRUE(aligned64(scratch.out.data()));
   EXPECT_TRUE(aligned64(scratch.tile.data()));
-  EXPECT_TRUE(aligned64(scratch.lane_probs.data()));
   // Growth re-allocates but must stay aligned.
   scratch.reserve_block(1000);
   EXPECT_TRUE(aligned64(scratch.temp.data()));
@@ -340,33 +355,12 @@ TEST(BatchKernels, DiagonalMatchesScalarPerLane) {
   }
 }
 
-TEST(BatchKernels, ApplyLaneTouchesOnlyThatLane) {
-  const QuditSpace space({3, 4});
-  Rng rng(29);
-  std::vector<std::vector<cplx>> states;
-  for (std::size_t k = 0; k < kW; ++k)
-    states.push_back(random_amplitudes(space.dimension(), rng));
-  const detail::BlockPlan plan = detail::make_block_plan(space, {0, 1});
-  const kernels::OpKernel op =
-      kernels::OpKernel::analyze(random_dense(plan.block, rng));
-
-  kernels::StateBatch batch;
-  load_batch(batch, states);
-  kernels::Scratch scratch;
-  const std::size_t lane = 3;
-  kernels::batch_apply_lane(op, plan, batch, lane, scratch);
-
-  for (std::size_t k = 0; k < kW; ++k) {
-    std::vector<cplx> expected = states[k];
-    if (k == lane) {
-      kernels::Scratch ref_scratch;
-      kernels::scalar::apply(op, plan, expected.data(), ref_scratch);
-    }
-    expect_bitwise_eq(lane_state(batch, k), expected, "batch-lane");
-  }
-}
-
-TEST(BatchKernels, ChannelProbabilitiesMatchScalarPerLane) {
+TEST(BatchKernels, BranchWeightsMatchScalarSamplerPerLane) {
+  // The Kraus weights the walk computes, per lane and per branch, are
+  // bitwise the scalar sampler's, and both are bitwise the dense
+  // reduction accumulate_channel_probabilities keeps. Random operators
+  // (not trace preserving) of both shapes, on every site set; even lanes
+  // stop at branch 0 (u = 0), odd lanes pass it (u = w_0) to branch 1.
   const QuditSpace space({2, 3, 4});
   Rng rng(31);
   std::vector<std::vector<cplx>> states;
@@ -374,55 +368,216 @@ TEST(BatchKernels, ChannelProbabilitiesMatchScalarPerLane) {
     states.push_back(random_amplitudes(space.dimension(), rng));
   for (const std::vector<int>& sites : site_sets(space)) {
     const detail::BlockPlan plan = detail::make_block_plan(space, sites);
-    std::vector<kernels::OpKernel> kraus;
-    kraus.push_back(
-        kernels::OpKernel::analyze(random_monomial(plan.block, rng)));
-    kraus.push_back(
-        kernels::OpKernel::analyze(random_dense(plan.block, rng)));
+    const std::vector<Matrix> mats = {random_monomial(plan.block, rng),
+                                      random_dense(plan.block, rng)};
+    const std::vector<kernels::OpKernel> kraus = analyze_all(mats);
+    ASSERT_EQ(kraus[0].kind, kernels::OpKernel::Kind::kMonomial);
+    ASSERT_EQ(kraus[1].kind, kernels::OpKernel::Kind::kDense);
+
+    std::vector<std::vector<double>> probs(kW);
+    double u[kW];
+    for (std::size_t k = 0; k < kW; ++k) {
+      probs[k].assign(mats.size(), 0.0);
+      kernels::Scratch ref_scratch;
+      kernels::accumulate_channel_probabilities(
+          mats, plan, states[k].data(), ref_scratch, probs[k].data());
+      u[k] = k % 2 == 0 ? 0.0 : probs[k][0];
+    }
 
     kernels::StateBatch batch;
     load_batch(batch, states);
     kernels::Scratch scratch;
-    std::vector<double> probs(kraus.size() * kW, 0.0);
-    kernels::batch_accumulate_channel_probabilities(kraus, plan, batch,
-                                                    scratch, probs.data());
+    kernels::BranchChoice picks[kW];
+    kernels::batch_sample_channel(kraus, plan, batch, u, kW, scratch, picks);
+    EXPECT_GT(scratch.dispatch.batched, 0u);
 
     for (std::size_t k = 0; k < kW; ++k) {
-      std::vector<double> ref(kraus.size(), 0.0);
+      std::vector<cplx> ref = states[k];
       kernels::Scratch ref_scratch;
-      kernels::accumulate_channel_probabilities(
-          kraus, plan, states[k].data(), ref_scratch, ref.data());
-      for (std::size_t m = 0; m < kraus.size(); ++m)
-        EXPECT_EQ(probs[m * kW + k], ref[m])
-            << "kraus " << m << " lane " << k;
+      const kernels::BranchChoice want =
+          kernels::sample_channel(kraus, plan, ref.data(), u[k], ref_scratch);
+      EXPECT_EQ(want.branch, k % 2) << "lane " << k;
+      EXPECT_EQ(want.weight, probs[k][k % 2]) << "lane " << k;
+      EXPECT_EQ(picks[k].branch, want.branch) << "lane " << k;
+      EXPECT_EQ(picks[k].weight, want.weight) << "lane " << k;
+      expect_bitwise_eq(lane_state(batch, k), ref, "weighted lane");
     }
   }
 }
 
-TEST(BatchKernels, NormalizeAndSampleMatchStateVectorBitwise) {
+TEST(BatchKernels, ScaledBranchMatchesScalarSamplerBitwise) {
+  // The sampler's fused K psi / sqrt(w) pass is what renormalizes a
+  // trajectory: on unnormalized states every lane that takes the loss
+  // channel's K_0 ends bitwise the scalar sampler's unit vector.
   const QuditSpace space({3, 5, 2});
   Rng rng(37);
   std::vector<std::vector<cplx>> states;
   for (std::size_t k = 0; k < kW; ++k)
     states.push_back(random_amplitudes(space.dimension(), rng));
+  const detail::BlockPlan plan = detail::make_block_plan(space, {1});
+  const std::vector<kernels::OpKernel> loss =
+      analyze_all(amplitude_damping_channel(5, 0.3));
 
   kernels::StateBatch batch;
   load_batch(batch, states);
-  kernels::batch_normalize(batch, kW);
+  kernels::Scratch scratch;
+  const double u[kW] = {};  // u = 0: every lane stops at K_0
+  kernels::BranchChoice picks[kW];
+  kernels::batch_sample_channel(loss, plan, batch, u, kW, scratch, picks);
 
   for (std::size_t k = 0; k < kW; ++k) {
-    StateVector psi(space, states[k]);
-    psi.normalize();
+    std::vector<cplx> ref = states[k];
+    kernels::Scratch ref_scratch;
+    kernels::sample_channel(loss, plan, ref.data(), 0.0, ref_scratch);
+    EXPECT_EQ(picks[k].branch, 0u);
     for (std::size_t i = 0; i < space.dimension(); ++i)
-      EXPECT_EQ(batch.lane_amplitude(i, k), psi.amplitude(i))
+      EXPECT_EQ(batch.lane_amplitude(i, k), ref[i])
           << "lane " << k << " amplitude " << i;
+    EXPECT_NEAR(batch.lane_norm_squared(k), 1.0, 1e-12);
+  }
+}
 
-    // Sampling: the lane walk must return the index StateVector's
-    // cumulative walk returns for the same uniform draw.
+TEST(BatchKernels, SampleIndexMatchesStateVectorBitwise) {
+  const QuditSpace space({3, 5, 2});
+  Rng rng(37);
+  std::vector<std::vector<cplx>> states;
+  for (std::size_t k = 0; k < kW; ++k) {
+    StateVector psi(space, random_amplitudes(space.dimension(), rng));
+    psi.normalize();
+    states.push_back(psi.amplitudes());
+  }
+  kernels::StateBatch batch;
+  load_batch(batch, states);
+
+  for (std::size_t k = 0; k < kW; ++k) {
+    const StateVector psi(space, states[k]);
+    // The lane walk must return the index StateVector's cumulative walk
+    // returns for the same uniform draw.
     for (std::uint64_t s = 0; s < 5; ++s) {
       Rng a(1000 + s), b(1000 + s);
       const std::size_t ref_idx = psi.sample_index(a);
       EXPECT_EQ(batch.lane_sample_index(k, b.uniform()), ref_idx);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Kraus-branch sampling: the lazy walk and its c I branches.
+// ---------------------------------------------------------------------
+
+TEST(KrausSampler, ClassifiesScaledIdentityBranches) {
+  for (const int d : {2, 3, 5}) {
+    const auto depol = analyze_all(depolarizing_channel(d, 0.1));
+    const auto dephase = analyze_all(dephasing_channel(d, 0.1));
+    const auto loss = analyze_all(amplitude_damping_channel(d, 0.1));
+    EXPECT_TRUE(depol[0].scaled_identity) << "d=" << d;
+    EXPECT_TRUE(dephase[0].scaled_identity) << "d=" << d;
+    // Weyl branches (shifts, clock phases) and every damping operator
+    // are monomial but not c I.
+    for (std::size_t m = 1; m < depol.size(); ++m)
+      EXPECT_FALSE(depol[m].scaled_identity) << "d=" << d << " m=" << m;
+    for (std::size_t m = 1; m < dephase.size(); ++m)
+      EXPECT_FALSE(dephase[m].scaled_identity) << "d=" << d << " m=" << m;
+    for (const kernels::OpKernel& k : loss) {
+      EXPECT_EQ(k.kind, kernels::OpKernel::Kind::kMonomial);
+      EXPECT_FALSE(k.scaled_identity) << "d=" << d;
+    }
+  }
+  // Coefficients must be bitwise equal: one ulp off is not c I.
+  Matrix c_identity = Matrix::identity(3) * cplx{0.5, 0.25};
+  EXPECT_TRUE(kernels::OpKernel::analyze(c_identity).scaled_identity);
+  c_identity(2, 2) = cplx{std::nextafter(0.5, 1.0), 0.25};
+  EXPECT_FALSE(kernels::OpKernel::analyze(c_identity).scaled_identity);
+}
+
+TEST(KrausSampler, ZeroWeightBranchIsNeverChosen) {
+  // Loss from |0>: K_0 keeps all the weight, K_1 and K_2 annihilate it.
+  // With the largest draw uniform() returns, the walk must stop at K_0;
+  // from (1 - 2^-52)|0> the partial sums end below that draw, and the
+  // fall-through must skip the zero-weight K_1 and K_2 as well.
+  const QuditSpace space({3});
+  const detail::BlockPlan plan = detail::make_block_plan(space, {0});
+  const std::vector<kernels::OpKernel> loss =
+      analyze_all(amplitude_damping_channel(3, 0.3));
+  ASSERT_EQ(loss.size(), 3u);
+  const double u_max = 1.0 - std::ldexp(1.0, -53);
+  for (const double a0 : {1.0, 1.0 - std::ldexp(1.0, -52)}) {
+    std::vector<cplx> amps = {a0, 0.0, 0.0};
+    kernels::Scratch scratch;
+    const kernels::BranchChoice pick =
+        kernels::sample_channel(loss, plan, amps.data(), u_max, scratch);
+    EXPECT_EQ(pick.branch, 0u) << "a0=" << a0;
+    EXPECT_EQ(pick.weight, a0 * a0) << "a0=" << a0;
+    EXPECT_NEAR(std::abs(amps[0]), 1.0, 1e-15);
+
+    kernels::StateBatch batch;
+    load_batch(batch, {{a0, 0.0, 0.0}});
+    double u[kW];
+    std::fill(u, u + kW, u_max);
+    kernels::BranchChoice picks[kW];
+    kernels::batch_sample_channel(loss, plan, batch, u, kW, scratch, picks);
+    for (std::size_t k = 0; k < kW; ++k) {
+      EXPECT_EQ(picks[k].branch, 0u) << "a0=" << a0 << " lane " << k;
+      EXPECT_EQ(batch.lane_amplitude(0, k), amps[0]) << "lane " << k;
+    }
+  }
+}
+
+TEST(KrausSampler, BatchMatchesScalarPerLaneAtEveryOccupancy) {
+  // Lane k of batch_sample_channel is bitwise sample_channel on lane k's
+  // state alone -- branch, weight and amplitudes -- for every occupancy,
+  // with lanes split across c I and other branches; idle tail lanes and
+  // c I lanes keep their amplitudes bit for bit.
+  const QuditSpace space({3, 2, 3});
+  Rng rng(41);
+  const std::vector<std::vector<int>> site_lists = {
+      {0}, {1}, {2}, {0, 1}, {2, 0}};
+  for (const std::vector<int>& sites : site_lists) {
+    const detail::BlockPlan plan = detail::make_block_plan(space, sites);
+    const int d = static_cast<int>(plan.block);
+    // U K_m is trace preserving whenever {K_m} is, and dense.
+    const Matrix rot = random_unitary(d, rng);
+    std::vector<Matrix> rotated_loss;
+    for (const Matrix& k : amplitude_damping_channel(d, 0.3))
+      rotated_loss.push_back(rot * k);
+    for (const std::vector<Matrix>& set :
+         {amplitude_damping_channel(d, 0.3), depolarizing_channel(d, 0.5),
+          dephasing_channel(d, 0.5), rotated_loss}) {
+      const std::vector<kernels::OpKernel> kraus = analyze_all(set);
+      std::vector<std::vector<cplx>> states;
+      for (std::size_t k = 0; k < kW; ++k)
+        states.push_back(random_unit_state(space.dimension(), rng));
+      double u[kW];
+      for (double& x : u) x = rng.uniform();
+
+      for (std::size_t active = 1; active <= kW; ++active) {
+        kernels::StateBatch batch;
+        load_batch(batch, states);
+        kernels::Scratch scratch;
+        kernels::BranchChoice picks[kW];
+        kernels::batch_sample_channel(kraus, plan, batch, u, active, scratch,
+                                      picks);
+        std::vector<bool> seen(kraus.size(), false);
+        for (std::size_t k = 0; k < kW; ++k) {
+          std::vector<cplx> ref = states[k];
+          if (k < active) {
+            kernels::Scratch ref_scratch;
+            const kernels::BranchChoice want = kernels::sample_channel(
+                kraus, plan, ref.data(), u[k], ref_scratch);
+            EXPECT_EQ(picks[k].branch, want.branch)
+                << "active " << active << " lane " << k;
+            EXPECT_EQ(picks[k].weight, want.weight)
+                << "active " << active << " lane " << k;
+            seen[want.branch] = true;
+          }
+          expect_bitwise_eq(lane_state(batch, k), ref,
+                            k < active ? "sampled lane" : "idle lane");
+        }
+        if (active == kW) {
+          EXPECT_GT(std::count(seen.begin(), seen.end(), true), 1)
+              << "lanes should split across branches";
+        }
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 #include "gates/qudit_gates.h"
 #include "gates/two_qudit.h"
 #include "linalg/metrics.h"
+#include "noise/channels.h"
 #include "qudit/density_matrix.h"
 #include "qudit/space.h"
 #include "qudit/state_vector.h"
@@ -186,6 +187,52 @@ TEST(StateVector, ChannelProbabilitiesSumToOne) {
   double total = 0.0;
   for (double p : probs) total += p;
   EXPECT_NEAR(total, 1.0, 1e-10);
+}
+
+TEST(StateVector, SampledBranchFrequenciesMatchWeights) {
+  // 10^5 trajectory draws on one fixed superposition: each Kraus branch
+  // is taken with frequency ||K_m psi||^2 (within 5 sigma), and the state
+  // it leaves is normalized. Depolarizing exercises the c I branch the
+  // walk never weighs against psi; loss exercises per-branch weights.
+  Rng rng(19);
+  const QuditSpace space({2, 3});
+  const StateVector start(
+      space, random_state(static_cast<int>(space.dimension()), rng));
+  const std::size_t draws = 100000;
+  for (const std::vector<Matrix>& kraus :
+       {amplitude_damping_channel(3, 0.3), depolarizing_channel(3, 0.5)}) {
+    const std::vector<double> p = start.channel_probabilities(kraus, {1});
+    std::vector<std::size_t> hits(kraus.size(), 0);
+    Rng draw_rng(23);
+    for (std::size_t t = 0; t < draws; ++t) {
+      StateVector psi = start;
+      ++hits[psi.apply_channel_sampled(kraus, {1}, draw_rng)];
+      if (t < 100) {
+        EXPECT_NEAR(psi.norm_squared(), 1.0, 1e-12);
+      }
+    }
+    for (std::size_t m = 0; m < kraus.size(); ++m) {
+      const double freq =
+          static_cast<double>(hits[m]) / static_cast<double>(draws);
+      const double sigma =
+          std::sqrt(p[m] * (1.0 - p[m]) / static_cast<double>(draws));
+      EXPECT_NEAR(freq, p[m], 5.0 * sigma + 1e-12) << "branch " << m;
+    }
+  }
+}
+
+TEST(StateVector, ChannelSamplingRequiresTracePreservingSet) {
+  StateVector psi(QuditSpace({3}));
+  Rng rng(5);
+  std::vector<Matrix> leaky = amplitude_damping_channel(3, 0.3);
+  leaky.pop_back();  // drop K_2: sum K^dag K != I
+  EXPECT_THROW(psi.apply_channel_sampled(leaky, {0}, rng),
+               std::invalid_argument);
+  EXPECT_THROW(psi.apply_channel_sampled({}, {0}, rng),
+               std::invalid_argument);
+  EXPECT_THROW(
+      psi.apply_channel_sampled(amplitude_damping_channel(2, 0.3), {0}, rng),
+      std::invalid_argument);  // 2x2 operators on a qutrit site
 }
 
 TEST(DensityMatrix, PureStateConstruction) {
