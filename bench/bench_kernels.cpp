@@ -1,8 +1,8 @@
 // Kernel-layer microbenchmarks (google-benchmark): one benchmark per
-// kernel class (dense single-site strided, dense multi-site table,
-// diagonal, monomial), each as a SIMD-vs-scalar pair so the dispatch
-// tiers' speedups are measured at the layer they live in, plus the
-// batched-vs-per-shot trajectory pair that motivates the SoA StateBatch.
+// kernel class (dense one-site and two-site, diagonal, monomial), each
+// as a SIMD-vs-scalar pair so the dispatch tiers' speedups are measured
+// at the layer they live in, plus the batched-vs-per-shot trajectory
+// pair that motivates the SoA StateBatch.
 //
 // The CI perf-smoke job runs this binary with --benchmark_format=json
 // and archives BENCH_kernels.json; the perf-gate diffs items_per_second
@@ -51,7 +51,7 @@ struct KernelSetup {
 
 /// dims/sites per benchmark argument: 0 = single-site d=3 (specialized,
 /// odd stride 27), 1 = single-site d=5 (specialized), 2 = two-site 3x3
-/// block 9 (specialized, table path), 3 = two-site 4x5 block 20
+/// block 9 (specialized), 3 = two-site 4x5 block 20
 /// (generic tier).
 KernelSetup make_setup(std::int64_t shape) {
   switch (shape) {

@@ -65,10 +65,6 @@ BlockPlan make_block_plan(const QuditSpace& space,
 
   plan.block = block;
   plan.dimension = space.dimension();
-  if (sites.size() == 1) {
-    plan.single_site = true;
-    plan.site_stride = space.stride(static_cast<std::size_t>(sites[0]));
-  }
   return plan;
 }
 

@@ -26,20 +26,15 @@ struct BlockPlan {
   std::size_t block = 0;      ///< == offsets.size(): operator dimension
   std::size_t dimension = 0;  ///< full-space dimension (block * bases.size())
 
-  /// Single-target-site fast path: offsets[a] == a * site_stride, and the
-  /// bases sequence is exactly the two nested stride loops
-  ///   for (outer = 0; outer < dimension; outer += site_stride * block)
-  ///     for (inner = 0; inner < site_stride; ++inner)
-  /// in that order, so kernels may iterate without touching the tables.
-  bool single_site = false;
-  std::size_t site_stride = 0;  ///< stride of the lone target site
-
   /// Length of the contiguous runs the bases sequence decomposes into:
   /// bases[q * contig_run + r] == bases[q * contig_run] + r for every run
   /// q and 0 <= r < contig_run. The SIMD kernels batch the columns of one
   /// run (consecutive amplitude addresses for each offset) into vector
   /// lanes; contig_run == 1 means no two bases are adjacent and kernels
-  /// fall back to per-block processing.
+  /// fall back to per-block processing. For a one-site plan contig_run is
+  /// that site's stride (offsets[a] == a * contig_run, and each run holds
+  /// every inner position below the site), so the SIMD column walk over a
+  /// one-site plan is the site's stride sweep.
   std::size_t contig_run = 1;
 };
 

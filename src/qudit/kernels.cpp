@@ -102,16 +102,6 @@ void apply_dense(const cplx* op, const detail::BlockPlan& plan, cplx* amps,
   scratch.reserve_block(block);
   cplx* temp = scratch.temp.data();
   cplx* out = scratch.out.data();
-  if (plan.single_site) {
-    // Same base sequence as the offsets/bases tables, no indirection.
-    const std::size_t stride = plan.site_stride;
-    const std::size_t span = stride * block;
-    for (std::size_t outer = 0; outer < plan.dimension; outer += span)
-      for (std::size_t inner = 0; inner < stride; ++inner)
-        dense_block_strided(op, block, stride, amps + outer + inner, temp,
-                            out);
-    return;
-  }
   const std::size_t* offsets = plan.offsets.data();
   for (std::size_t base : plan.bases)
     dense_block(op, block, amps + base, offsets, temp, out);
@@ -120,16 +110,6 @@ void apply_dense(const cplx* op, const detail::BlockPlan& plan, cplx* amps,
 void apply_diagonal(const cplx* diag, const detail::BlockPlan& plan,
                     cplx* amps) {
   const std::size_t block = plan.block;
-  if (plan.single_site) {
-    const std::size_t stride = plan.site_stride;
-    const std::size_t span = stride * block;
-    for (std::size_t outer = 0; outer < plan.dimension; outer += span)
-      for (std::size_t inner = 0; inner < stride; ++inner) {
-        cplx* p = amps + outer + inner;
-        for (std::size_t a = 0; a < block; ++a) p[a * stride] *= diag[a];
-      }
-    return;
-  }
   const std::size_t* offsets = plan.offsets.data();
   for (std::size_t base : plan.bases)
     for (std::size_t a = 0; a < block; ++a) amps[base + offsets[a]] *= diag[a];
@@ -146,14 +126,6 @@ inline void monomial_block(const cplx* coef, const std::size_t* col,
     amps[offsets[a]] = coef[a] * temp[col[a]];
 }
 
-inline void monomial_block_strided(const cplx* coef, const std::size_t* col,
-                                   std::size_t block, std::size_t stride,
-                                   cplx* amps, cplx* temp) {
-  for (std::size_t a = 0; a < block; ++a) temp[a] = amps[a * stride];
-  for (std::size_t a = 0; a < block; ++a)
-    amps[a * stride] = coef[a] * temp[col[a]];
-}
-
 }  // namespace
 
 void apply(const OpKernel& op, const detail::BlockPlan& plan, cplx* amps,
@@ -167,15 +139,6 @@ void apply(const OpKernel& op, const detail::BlockPlan& plan, cplx* amps,
   cplx* temp = scratch.temp.data();
   const cplx* coef = op.coef.data();
   const std::size_t* col = op.col.data();
-  if (plan.single_site) {
-    const std::size_t stride = plan.site_stride;
-    const std::size_t span = stride * block;
-    for (std::size_t outer = 0; outer < plan.dimension; outer += span)
-      for (std::size_t inner = 0; inner < stride; ++inner)
-        monomial_block_strided(coef, col, block, stride, amps + outer + inner,
-                               temp);
-    return;
-  }
   const std::size_t* offsets = plan.offsets.data();
   for (std::size_t base : plan.bases)
     monomial_block(coef, col, block, amps + base, offsets, temp);
@@ -188,9 +151,8 @@ void apply(const OpKernel& op, const detail::BlockPlan& plan, cplx* amps,
 // A "column group" is 2 * pairs adjacent amplitude columns viewed as
 // interleaved doubles: element a of column c sits at dp[pos2[a] + 2 * c],
 // where dp points at the group's first column and pos2 holds the doubled
-// element offsets (2 * offsets[a] or 2 * a * stride). Complex arithmetic
-// uses the pair-swap identity: for op entry (or, oi) and amplitude vector
-// v = [tr, ti, ...],
+// element offsets 2 * offsets[a]. Complex arithmetic uses the pair-swap
+// identity: for op entry (or, oi) and amplitude vector v = [tr, ti, ...],
 //   [or,or,..] * v + [-oi,+oi,..] * swap_pairs(v)
 //     = [or*tr - oi*ti, or*ti + oi*tr, ...]
 // which is lane-for-lane the scalar complex product.
@@ -280,36 +242,19 @@ inline const std::size_t* make_pos2(const detail::BlockPlan& plan,
                                     Scratch& scratch) {
   const std::size_t block = plan.block;
   if (scratch.index.size() < block) scratch.index.resize(block);
-  if (plan.single_site) {
-    for (std::size_t a = 0; a < block; ++a)
-      scratch.index[a] = 2 * a * plan.site_stride;
-  } else {
-    for (std::size_t a = 0; a < block; ++a)
-      scratch.index[a] = 2 * plan.offsets[a];
-  }
+  for (std::size_t a = 0; a < block; ++a)
+    scratch.index[a] = 2 * plan.offsets[a];
   return scratch.index.data();
 }
 
-/// Drives a column-group kernel over the whole span: full tiles, then
-/// pairs, then a scalar-tail column via `tail` (same arithmetic per lane,
-/// so the tail is bitwise the vector lanes). `Group(dp_group, pairs)`
-/// applies one group; `Tail(first_column)` applies one leftover column.
+/// Drives a column-group kernel over the whole span, one contiguous base
+/// run at a time: full tiles, then pairs, then a scalar-tail column via
+/// `tail` (same arithmetic per lane, so the tail is bitwise the vector
+/// lanes). `Group(dp_group, pairs)` applies one group; `Tail(column)`
+/// applies one leftover column.
 template <typename Group, typename Tail>
 inline void for_each_column_group(const detail::BlockPlan& plan, cplx* amps,
                                   Group&& group, Tail&& tail) {
-  if (plan.single_site) {
-    const std::size_t stride = plan.site_stride;
-    const std::size_t span = stride * plan.block;
-    for (std::size_t outer = 0; outer < plan.dimension; outer += span) {
-      double* dp = reinterpret_cast<double*>(amps + outer);
-      std::size_t c = 0;
-      for (; c + 2 * kMaxPairs <= stride; c += 2 * kMaxPairs)
-        group(dp + 2 * c, kMaxPairs);
-      for (; c + 2 <= stride; c += 2) group(dp + 2 * c, std::size_t{1});
-      for (; c < stride; ++c) tail(amps + outer + c);
-    }
-    return;
-  }
   const std::size_t run = plan.contig_run;
   const std::size_t nruns = plan.bases.size() / run;
   for (std::size_t q = 0; q < nruns; ++q) {
@@ -326,8 +271,8 @@ inline void for_each_column_group(const detail::BlockPlan& plan, cplx* amps,
 /// True when the plan exposes >= 2 adjacent columns for a SIMD-eligible
 /// block; otherwise the scalar tier handles the whole span.
 inline bool simd_eligible(const detail::BlockPlan& plan) {
-  if (plan.block < 2 || plan.block > kMaxSimdBlock) return false;
-  return plan.single_site ? plan.site_stride >= 2 : plan.contig_run >= 2;
+  return plan.block >= 2 && plan.block <= kMaxSimdBlock &&
+         plan.contig_run >= 2;
 }
 
 /// Invokes `body` with the block size lifted to a compile-time constant
@@ -381,7 +326,6 @@ void apply_dense(const cplx* op, const detail::BlockPlan& plan, cplx* amps,
   cplx* temp = scratch.temp.data();
   cplx* out = scratch.out.data();
   const std::size_t* offsets = plan.offsets.data();
-  const std::size_t stride = plan.site_stride;
   dispatch_block(block, [&](auto b_const) {
     constexpr int kB = decltype(b_const)::value;
     for_each_column_group(
@@ -390,10 +334,7 @@ void apply_dense(const cplx* op, const detail::BlockPlan& plan, cplx* amps,
           simd_dense_group<kB>(op, block, pos2, dp, pairs, tile);
         },
         [&](cplx* column) {
-          if (plan.single_site)
-            dense_block_strided(op, block, stride, column, temp, out);
-          else
-            dense_block(op, block, column, offsets, temp, out);
+          dense_block(op, block, column, offsets, temp, out);
         });
   });
   if (specialized_block(block))
@@ -412,7 +353,6 @@ void apply_diagonal(const cplx* diag, const detail::BlockPlan& plan,
   const std::size_t block = plan.block;
   const std::size_t* pos2 = make_pos2(plan, scratch);
   const std::size_t* offsets = plan.offsets.data();
-  const std::size_t stride = plan.site_stride;
   dispatch_block(block, [&](auto b_const) {
     constexpr int kB = decltype(b_const)::value;
     for_each_column_group(
@@ -421,24 +361,13 @@ void apply_diagonal(const cplx* diag, const detail::BlockPlan& plan,
           simd_diag_group<kB>(diag, block, pos2, dp, pairs);
         },
         [&](cplx* column) {
-          if (plan.single_site)
-            for (std::size_t a = 0; a < block; ++a)
-              column[a * stride] *= diag[a];
-          else
-            for (std::size_t a = 0; a < block; ++a)
-              column[offsets[a]] *= diag[a];
+          for (std::size_t a = 0; a < block; ++a) column[offsets[a]] *= diag[a];
         });
   });
   if (specialized_block(block))
     ++scratch.dispatch.specialized;
   else
     ++scratch.dispatch.generic;
-}
-
-void apply_diagonal(const cplx* diag, const detail::BlockPlan& plan,
-                    cplx* amps) {
-  Scratch scratch;  // diagonal dispatch allocates only the tiny pos2 table
-  apply_diagonal(diag, plan, amps, scratch);
 }
 
 void apply(const OpKernel& op, const detail::BlockPlan& plan, cplx* amps,
@@ -461,7 +390,6 @@ void apply(const OpKernel& op, const detail::BlockPlan& plan, cplx* amps,
   const cplx* coef = op.coef.data();
   const std::size_t* col = op.col.data();
   const std::size_t* offsets = plan.offsets.data();
-  const std::size_t stride = plan.site_stride;
   dispatch_block(block, [&](auto b_const) {
     constexpr int kB = decltype(b_const)::value;
     for_each_column_group(
@@ -470,11 +398,7 @@ void apply(const OpKernel& op, const detail::BlockPlan& plan, cplx* amps,
           simd_monomial_group<kB>(coef, col, block, pos2, dp, pairs, tile);
         },
         [&](cplx* column) {
-          if (plan.single_site)
-            scalar::monomial_block_strided(coef, col, block, stride, column,
-                                           temp);
-          else
-            scalar::monomial_block(coef, col, block, column, offsets, temp);
+          scalar::monomial_block(coef, col, block, column, offsets, temp);
         });
   });
   if (specialized_block(block))
@@ -537,12 +461,7 @@ void accumulate_channel_probabilities(const std::vector<Matrix>& kraus,
   const std::size_t* offsets = plan.offsets.data();
   for (std::size_t base : plan.bases) {
     const cplx* p = amps + base;
-    if (plan.single_site) {
-      const std::size_t stride = plan.site_stride;
-      for (std::size_t a = 0; a < block; ++a) temp[a] = p[a * stride];
-    } else {
-      for (std::size_t a = 0; a < block; ++a) temp[a] = p[offsets[a]];
-    }
+    for (std::size_t a = 0; a < block; ++a) temp[a] = p[offsets[a]];
     for (std::size_t m = 0; m < kraus.size(); ++m) {
       const cplx* k = kraus[m].data();
       double part = 0.0;
@@ -566,12 +485,7 @@ cplx expectation_dense(const cplx* op, const detail::BlockPlan& plan,
   cplx total = 0.0;
   for (std::size_t base : plan.bases) {
     const cplx* p = amps + base;
-    if (plan.single_site) {
-      const std::size_t stride = plan.site_stride;
-      for (std::size_t a = 0; a < block; ++a) temp[a] = p[a * stride];
-    } else {
-      for (std::size_t a = 0; a < block; ++a) temp[a] = p[offsets[a]];
-    }
+    for (std::size_t a = 0; a < block; ++a) temp[a] = p[offsets[a]];
     for (std::size_t a = 0; a < block; ++a) {
       const cplx* row = op + a * block;
       cplx acc = 0.0;
@@ -617,29 +531,6 @@ namespace {
 
 constexpr std::size_t kW = StateBatch::kLanes;
 static_assert(kW == 8, "batch kernels unroll two v4d vectors per lane row");
-
-/// Iterates every (absolute) block start of the plan in table order,
-/// invoking body(element_index_of_row_0 .. via base) once per block. The
-/// offsets pointer (or stride arithmetic) resolves rows inside body.
-template <typename Body>
-inline void for_each_block(const detail::BlockPlan& plan, Body&& body) {
-  if (plan.single_site) {
-    const std::size_t stride = plan.site_stride;
-    const std::size_t span = stride * plan.block;
-    for (std::size_t outer = 0; outer < plan.dimension; outer += span)
-      for (std::size_t inner = 0; inner < stride; ++inner)
-        body(outer + inner);
-    return;
-  }
-  for (std::size_t base : plan.bases) body(base);
-}
-
-/// Row element index a of the block at `base`.
-inline std::size_t row_index(const detail::BlockPlan& plan, std::size_t base,
-                             std::size_t a) {
-  return plan.single_site ? base + a * plan.site_stride
-                          : base + plan.offsets[a];
-}
 
 /// Counts one batched sweep of a `block`-sized operator in its tier.
 inline void count_batched(std::size_t block, DispatchCounts& dispatch) {
@@ -723,17 +614,18 @@ inline void for_each_op_block(const OpKernel& op,
   double* tile_re = scratch.tile.data();
   double* tile_im = tile_re + block * kW;
   const TileRows x{tile_re, tile_im};
+  const std::size_t* offsets = plan.offsets.data();
   const auto walk = [&](auto&& op_row) {
-    for_each_block(plan, [&](std::size_t base) {
+    for (std::size_t base : plan.bases) {
       for (std::size_t a = 0; a < block; ++a) {
-        const std::size_t e = row_index(plan, base, a) * kW;
+        const std::size_t e = (base + offsets[a]) * kW;
         vstore(tile_re + a * kW, vload(re + e));
         vstore(tile_re + a * kW + 4, vload(re + e + 4));
         vstore(tile_im + a * kW, vload(im + e));
         vstore(tile_im + a * kW + 4, vload(im + e + 4));
       }
       body(base, x, op_row);
-    });
+    }
   };
   if (op.kind == OpKernel::Kind::kMonomial) {
     const cplx* coef = op.coef.data();
@@ -753,11 +645,12 @@ void batch_apply(const OpKernel& op, const detail::BlockPlan& plan,
   count_batched(block, scratch.dispatch);
   double* re = batch.re();
   double* im = batch.im();
+  const std::size_t* offsets = plan.offsets.data();
   for_each_op_block(
       op, plan, batch, scratch,
       [&](std::size_t base, const TileRows&, auto&& op_row) {
         for (std::size_t a = 0; a < block; ++a)
-          store_row(re, im, row_index(plan, base, a) * kW, op_row(a));
+          store_row(re, im, (base + offsets[a]) * kW, op_row(a));
       });
 }
 
@@ -766,13 +659,14 @@ void batch_apply_diagonal(const cplx* diag, const detail::BlockPlan& plan,
   const std::size_t block = plan.block;
   double* re = batch.re();
   double* im = batch.im();
+  const std::size_t* offsets = plan.offsets.data();
   count_batched(block, scratch.dispatch);
-  for_each_block(plan, [&](std::size_t base) {
+  for (std::size_t base : plan.bases) {
     for (std::size_t a = 0; a < block; ++a) {
       const v4d drv = vbroadcast(diag[a].real());
       const v4d div = vbroadcast(diag[a].imag());
       const v4d ndiv = -div;
-      const std::size_t e = row_index(plan, base, a) * kW;
+      const std::size_t e = (base + offsets[a]) * kW;
       const v4d tr0 = vload(re + e);
       const v4d tr1 = vload(re + e + 4);
       const v4d ti0 = vload(im + e);
@@ -782,7 +676,7 @@ void batch_apply_diagonal(const cplx* diag, const detail::BlockPlan& plan,
       vstore(im + e, drv * ti0 + div * tr0);
       vstore(im + e + 4, drv * ti1 + div * tr1);
     }
-  });
+  }
 }
 
 // --- Kraus-branch sampling -----------------------------------------------
@@ -818,10 +712,10 @@ struct BranchWalk {
 double branch_weight(const OpKernel& k, const detail::BlockPlan& plan,
                      const cplx* amps, cplx* temp) {
   const std::size_t block = plan.block;
+  const std::size_t* offsets = plan.offsets.data();
   double w = 0.0;
-  for_each_block(plan, [&](std::size_t base) {
-    for (std::size_t a = 0; a < block; ++a)
-      temp[a] = amps[row_index(plan, base, a)];
+  for (std::size_t base : plan.bases) {
+    for (std::size_t a = 0; a < block; ++a) temp[a] = amps[base + offsets[a]];
     double part = 0.0;
     if (k.kind == OpKernel::Kind::kMonomial) {
       for (std::size_t a = 0; a < block; ++a)
@@ -836,7 +730,7 @@ double branch_weight(const OpKernel& k, const detail::BlockPlan& plan,
       }
     }
     w += part;
-  });
+  }
   return w;
 }
 
@@ -844,12 +738,12 @@ double branch_weight(const OpKernel& k, const detail::BlockPlan& plan,
 void apply_scaled(const OpKernel& k, const detail::BlockPlan& plan,
                   cplx* amps, double scale, cplx* temp) {
   const std::size_t block = plan.block;
+  const std::size_t* offsets = plan.offsets.data();
   const auto put = [&](std::size_t base, std::size_t a, const cplx& v) {
-    amps[row_index(plan, base, a)] = {v.real() * scale, v.imag() * scale};
+    amps[base + offsets[a]] = {v.real() * scale, v.imag() * scale};
   };
-  for_each_block(plan, [&](std::size_t base) {
-    for (std::size_t a = 0; a < block; ++a)
-      temp[a] = amps[row_index(plan, base, a)];
+  for (std::size_t base : plan.bases) {
+    for (std::size_t a = 0; a < block; ++a) temp[a] = amps[base + offsets[a]];
     if (k.kind == OpKernel::Kind::kMonomial) {
       for (std::size_t a = 0; a < block; ++a)
         put(base, a, k.coef[a] * temp[k.col[a]]);
@@ -862,7 +756,7 @@ void apply_scaled(const OpKernel& k, const detail::BlockPlan& plan,
         put(base, a, acc);
       }
     }
-  });
+  }
 }
 
 /// w[k] = ||K psi_k||^2 for every lane.
@@ -899,13 +793,14 @@ void batch_apply_scaled(const OpKernel& k, const detail::BlockPlan& plan,
   const v4u m0 = vload_mask(mask), m1 = vload_mask(mask + 4);
   double* re = batch.re();
   double* im = batch.im();
+  const std::size_t* offsets = plan.offsets.data();
   for_each_op_block(
       k, plan, batch, scratch,
       [&](std::size_t base, const TileRows& x, auto&& op_row) {
         for (std::size_t a = 0; a < block; ++a) {
           const LaneRow v = op_row(a);
           const LaneRow old = x.row(a);
-          store_row(re, im, row_index(plan, base, a) * kW,
+          store_row(re, im, (base + offsets[a]) * kW,
                     {vselect(m0, v.r0 * s0, old.r0),
                      vselect(m1, v.r1 * s1, old.r1),
                      vselect(m0, v.i0 * s0, old.i0),

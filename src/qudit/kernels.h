@@ -10,13 +10,12 @@
 //   | shape                 | kernel                     | index scheme     |
 //   |-----------------------|----------------------------|------------------|
 //   | diagonal, any arity   | apply_diagonal             | offsets table    |
-//   | dense, single site    | apply_dense (stride path)  | pure stride math |
-//   | dense, k >= 2 sites   | apply_dense (table path)   | offsets table    |
+//   | dense, any arity      | apply_dense                | offsets table    |
 //   | monomial (<=1 nonzero | apply(OpKernel) monomial   | row coefficient  |
 //   |  per row: Weyl, shift,|  path                      |  + column table  |
 //   |  damping, permutation)|                            |                  |
 //   | Kraus set weights     | channel_probabilities      | offsets table    |
-//   | Kraus branch sampling | sample_channel,            | block walk       |
+//   | Kraus branch sampling | sample_channel,            | offsets table    |
 //   |  (trajectories)       |  batch_sample_channel      |                  |
 //   | observable contract   | expectation_dense          | offsets table    |
 //
@@ -33,9 +32,8 @@
 //   | scalar      | everything else (huge blocks, isolated columns), and    |
 //   |             | the reference oracle in kernels::scalar                 |
 //
-// "Columns" are independent amplitude blocks at consecutive addresses: the
-// inner positions of a single-site stride sweep, or a contiguous run of
-// bases (BlockPlan::contig_run) for multi-site tables. SIMD lanes always
+// "Columns" are independent amplitude blocks at consecutive addresses: a
+// contiguous run of bases (BlockPlan::contig_run). SIMD lanes always
 // span columns (independent outputs) or trajectory states (StateBatch) --
 // NEVER the b-indexed dot-product reduction, whose accumulation order is
 // the bitwise determinism contract. Every vector lane evaluates the exact
@@ -46,9 +44,9 @@
 // -march=x86-64-v3 builds -- contract=off alone misses GCC's fused
 // vfmaddsub complex-multiply lowering).
 //
-// Cache blocking: the multi-site table path walks each contiguous base run
-// in column tiles (kTileColumns wide), so a dense sweep touches amplitude
-// memory as block x tile strips that stay L1-resident instead of strided
+// Cache blocking: the SIMD tiers walk each contiguous base run in column
+// tiles (kTileColumns wide), so a dense sweep touches amplitude memory as
+// block x tile strips that stay L1-resident instead of strided
 // full-dimension sweeps per block.
 //
 // Batched trajectories: StateBatch holds StateBatch::kLanes trajectory
@@ -86,7 +84,7 @@ static_assert(kAlign % alignof(cplx) == 0 && kAlign % alignof(double) == 0,
 inline constexpr std::size_t kMaxSimdBlock = 32;
 
 /// Column-tile width (amplitude columns per tile) of the cache-blocked
-/// multi-site traversal and the strided single-site sweep.
+/// column traversal.
 inline constexpr std::size_t kTileColumns = 8;
 
 /// |z|^2 as the explicit split expression the SIMD lanes evaluate. On the
@@ -190,20 +188,6 @@ inline void dense_block(const cplx* op, std::size_t block, cplx* amps,
   for (std::size_t a = 0; a < block; ++a) amps[offsets[a]] = out[a];
 }
 
-/// Single-site variant: offsets[a] == a * stride, no table indirection.
-inline void dense_block_strided(const cplx* op, std::size_t block,
-                                std::size_t stride, cplx* amps, cplx* temp,
-                                cplx* out) {
-  for (std::size_t a = 0; a < block; ++a) temp[a] = amps[a * stride];
-  for (std::size_t a = 0; a < block; ++a) {
-    const cplx* row = op + a * block;
-    cplx acc = 0.0;
-    for (std::size_t b = 0; b < block; ++b) acc += row[b] * temp[b];
-    out[a] = acc;
-  }
-  for (std::size_t a = 0; a < block; ++a) amps[a * stride] = out[a];
-}
-
 /// As dense_block, but applies the conjugate of each op row (used for the
 /// density matrix's right-adjoint factor rho <- rho Op^dag).
 inline void dense_block_conj(const cplx* op, std::size_t block, cplx* amps,
@@ -259,8 +243,7 @@ void apply(const OpKernel& op, const detail::BlockPlan& plan, cplx* amps,
 }  // namespace scalar
 
 /// Applies a dense block x block operator over the whole span according to
-/// `plan`, dispatching across the SIMD tiers (see header table) and the
-/// single-site stride path.
+/// `plan`, dispatching across the SIMD tiers (see header table).
 void apply_dense(const cplx* op, const detail::BlockPlan& plan, cplx* amps,
                  Scratch& scratch);
 
@@ -268,10 +251,6 @@ void apply_dense(const cplx* op, const detail::BlockPlan& plan, cplx* amps,
 /// recording the dispatch tier in `scratch`.
 void apply_diagonal(const cplx* diag, const detail::BlockPlan& plan,
                     cplx* amps, Scratch& scratch);
-
-/// Legacy entry point without scratch: same dispatch, tier not recorded.
-void apply_diagonal(const cplx* diag, const detail::BlockPlan& plan,
-                    cplx* amps);
 
 /// Accumulates ||K_m psi||^2 for every Kraus operator into probs (which
 /// must hold kraus.size() zeros-or-running-sums): per block, each

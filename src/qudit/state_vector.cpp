@@ -47,20 +47,12 @@ void StateVector::apply(const Matrix& op, const std::vector<int>& sites) {
   kernels::apply_dense(op.data(), plan, amps_.data(), local_scratch());
 }
 
-void StateVector::apply(const Matrix& op, const detail::BlockPlan& plan,
-                        kernels::Scratch& scratch) {
-  require(op.rows() == plan.block && op.cols() == plan.block &&
-              plan.dimension == amps_.size(),
-          "StateVector::apply: plan/operator mismatch");
-  kernels::apply_dense(op.data(), plan, amps_.data(), scratch);
-}
-
 void StateVector::apply_diagonal(const std::vector<cplx>& diag,
                                  const std::vector<int>& sites) {
   const detail::BlockPlan plan = detail::make_block_plan(space_, sites);
   require(diag.size() == plan.block,
           "StateVector::apply_diagonal: diagonal length mismatch");
-  kernels::apply_diagonal(diag.data(), plan, amps_.data());
+  kernels::apply_diagonal(diag.data(), plan, amps_.data(), local_scratch());
 }
 
 double StateVector::norm_squared() const {

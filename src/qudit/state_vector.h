@@ -11,15 +11,8 @@
 
 namespace qs {
 
-namespace detail {
-struct BlockPlan;
-}
-namespace kernels {
-struct Scratch;
-}
-
 /// State vector over a QuditSpace. Supports applying arbitrary (not
-/// necessarily unitary) k-local operators by stride gather/scatter,
+/// necessarily unitary) k-local operators by block gather/scatter,
 /// measurement, sampling, and expectation values.
 class StateVector {
  public:
@@ -48,12 +41,6 @@ class StateVector {
   /// significant digit of the operator's basis. Works for non-unitary
   /// operators; no renormalization is performed.
   void apply(const Matrix& op, const std::vector<int>& sites);
-
-  /// Plan-aware variant for compiled execution: the caller owns a
-  /// precomputed BlockPlan for this space and a reusable scratch arena, so
-  /// repeated application performs no index rebuilds or allocations.
-  void apply(const Matrix& op, const detail::BlockPlan& plan,
-             kernels::Scratch& scratch);
 
   /// Applies a diagonal operator given by its diagonal entries over the
   /// target sites (length D). Cheaper than `apply` for phase gates.

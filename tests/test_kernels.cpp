@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "circuit/circuit.h"
+#include "common/fingerprint.h"
 #include "common/rng.h"
 #include "exec/exec.h"
 #include "gates/qudit_gates.h"
@@ -227,8 +228,6 @@ TEST(KernelEquivalence, ShuffledBaseRunsMatchScalarBitwise) {
   plan.offsets = {0, 12};
   plan.bases = {8, 9, 0, 1, 4, 5};
   plan.dimension = 24;
-  plan.single_site = false;
-  plan.site_stride = 0;
   plan.contig_run = 2;
 
   Rng rng(11);
@@ -710,6 +709,85 @@ TEST(DispatchTelemetry, ResultAndSessionCarryKernelTierCounts) {
   EXPECT_GT(result.kernel_dispatch.total(), 0u);
   EXPECT_EQ(session.kernel_dispatch().total(),
             result.kernel_dispatch.total());
+}
+
+// ---------------------------------------------------------------------
+// Backend outputs pinned across commits.
+// ---------------------------------------------------------------------
+
+/// Every kernel shape on `space`: dense one-site gates on each site (site
+/// 0 has stride 1 and takes the scalar tier), dense two-site gates with
+/// their sites in both orders, CSUM (monomial) and two-site diagonals.
+Circuit pinned_circuit(const QuditSpace& space, Rng& rng) {
+  Circuit c(space);
+  const int n = static_cast<int>(space.num_sites());
+  const auto dim = [&](int s) {
+    return space.dim(static_cast<std::size_t>(s));
+  };
+  for (int s = 0; s < n; ++s) c.add("U1", random_unitary(dim(s), rng), {s});
+  for (int s = 0; s + 1 < n; ++s) {
+    const int t = s + 1;
+    c.add("U2", random_unitary(dim(s) * dim(t), rng), {s, t});
+    // CSUM's control is the qudit of smaller (or equal) dimension.
+    const int lo = dim(s) <= dim(t) ? s : t;
+    const int hi = lo == s ? t : s;
+    c.add("CSUM", csum(dim(lo), dim(hi)), {lo, hi});
+    c.add("U2r", random_unitary(dim(t) * dim(s), rng), {t, s});
+    std::vector<cplx> phases(static_cast<std::size_t>(dim(s) * dim(t)));
+    for (cplx& z : phases) z = std::polar(1.0, rng.uniform(0.0, 6.0));
+    c.add_diagonal("D2", phases, {t, s});
+    c.add("U1", random_unitary(dim(t), rng), {t});
+  }
+  c.add("U2", random_unitary(dim(n - 1) * dim(0), rng), {n - 1, 0});
+  c.add("U1", random_unitary(dim(0), rng), {0});
+  return c;
+}
+
+TEST(KernelPin, BackendOutputsMatchPinnedDigest) {
+  // The SIMD tiers and the scalar oracle walk the same BlockPlan tables,
+  // so a block-order bug common to both passes every equivalence test
+  // above; this digest pins what the backends compute instead. Like the
+  // scenario journal pin, it assumes this toolchain's libm: the circuits
+  // draw random_unitary, which samples normal().
+  NoiseParams p;
+  p.depol_1q = 0.05;
+  p.depol_2q = 0.08;
+  p.dephase_1q = 0.05;
+  p.loss_per_gate = 0.04;
+  const NoiseModel noise(p);
+  const std::vector<std::vector<int>> spaces = {
+      {3, 3, 3, 3}, {2, 3, 4, 3}, {4, 2, 5}};
+  std::uint64_t h = fnv::kOffset;
+  const auto hash_result = [&h](const ExecutionResult& r) {
+    h = fnv::u64(r.counts.size(), h);
+    for (std::size_t c : r.counts) h = fnv::u64(c, h);
+    h = fnv::u64(r.probabilities.size(), h);
+    for (double x : r.probabilities) h = fnv::f64(x, h);
+  };
+  for (std::size_t sp = 0; sp < spaces.size(); ++sp) {
+    const QuditSpace space(spaces[sp]);
+    Rng build(300 + sp);
+    const Circuit c = pinned_circuit(space, build);
+
+    ExecutionRequest sampled(c);
+    sampled.shots = 256;
+    sampled.seed = 4242 + sp;
+    const ExecutionResult one = TrajectoryBackend{noise, 1}.execute(sampled);
+    const ExecutionResult two = TrajectoryBackend{noise, 2}.execute(sampled);
+    EXPECT_EQ(one.counts, two.counts) << "space " << sp;
+    hash_result(one);
+    hash_result(two);
+
+    ExecutionRequest averaged(c);
+    averaged.trajectories = 64;
+    averaged.seed = 5151 + sp;
+    hash_result(TrajectoryBackend{noise}.execute(averaged));
+
+    ExecutionRequest exact(c);
+    hash_result(StateVectorBackend{}.execute(exact));
+    hash_result(DensityMatrixBackend{noise}.execute(exact));
+  }
+  EXPECT_EQ(h, 0x9aa23a8d75844e11ull);
 }
 
 }  // namespace
