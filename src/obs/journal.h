@@ -12,6 +12,20 @@
 // therefore replays as a byte-exact regression test
 // (tools/replay_check.py).
 //
+// Sealing: a recorder that knows no event older than t can still arrive
+// calls seal_before(t). Every recorded event older than t is then
+// sorted canonically, appended to an in-memory text of "E" lines, and
+// its struct freed; t becomes the watermark. Time is the first sort
+// key, so the sealed text followed by the still-open events, sorted the
+// same way, is exactly the unsealed journal's byte stream: sealing
+// changes memory, never bytes. The scenario engine seals at every clock
+// advance, so only the current tick's events are held as structs; a
+// journal nobody seals (a live JobService's) is one open segment. An
+// event recorded below the watermark means that ordering assumption
+// broke: it is not recorded, and write() throws std::logic_error
+// naming the first such event (record() runs on worker threads, where
+// an exception would end the process).
+//
 // Events are NOT spans: a Span is a sampled interval for humans reading
 // a trace; a JournalEvent is one edge of the job state machine, complete
 // enough for the invariant checker (src/sim/invariants.h) to replay the
@@ -31,6 +45,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -103,8 +118,10 @@ struct JournalEvent {
   /// Canonical one-line serialization (no trailing newline).
   std::string serialize() const;
   /// Inverse of serialize(); throws std::runtime_error on a malformed
-  /// line.
-  static JournalEvent parse(const std::string& line);
+  /// line. Numbers must be canonical unsigned decimals, as serialize()
+  /// writes them: digits only over the whole value, no sign, base
+  /// prefix or leading zero.
+  static JournalEvent parse(std::string_view line);
 };
 
 /// Thread-safe append-only recorder. `header` identifies the scenario
@@ -126,22 +143,33 @@ class Journal {
   /// Value for `key`, or "" when absent.
   std::string header(const std::string& key) const;
 
-  /// Appends one event (thread-safe; leaf mutex + vector push).
+  /// Appends one event (thread-safe; leaf mutex + vector push). An
+  /// event older than the sealed watermark is not recorded; the first
+  /// such event is kept and makes write() throw.
   void record(JournalEvent event);
 
-  std::size_t size() const;
+  /// Seals every recorded event older than `time_ns`: sorts them in
+  /// canonical order, appends their "E" lines to the sealed text, and
+  /// frees their structs. The watermark rises to `time_ns` (it never
+  /// falls), so the caller promises that no event older than `time_ns`
+  /// is recorded from now on. Holds the leaf mutex while it sorts.
+  void seal_before(std::uint64_t time_ns);
 
-  /// All events in canonical deterministic order: (time, job, type
-  /// rank, serialized form). The final tiebreak on the serialized line
-  /// makes the order -- and therefore write() -- a pure function of the
-  /// event *set*, independent of cross-thread recording interleaving.
-  std::vector<JournalEvent> events() const;
+  /// Events recorded so far, sealed and open.
+  std::size_t size() const;
 
   /// Deterministic text serialization:
   ///   line 1: "QSJ1" magic
   ///   then:   "H <key>=<value>" header lines (insertion order)
-  ///   then:   "E <event>" lines in canonical order
+  ///   then:   "E <event>" lines in canonical order -- the sealed text,
+  ///           then the open events sorted the same way
   ///   then:   "F count=<n>" footer
+  /// Canonical order is (time, is-snapshot, job, type rank, serialized
+  /// form); the final tiebreak on the serialized line makes it -- and
+  /// therefore the bytes -- a pure function of the event *set*,
+  /// independent of cross-thread recording interleaving and of where
+  /// the journal was sealed. Throws std::logic_error, writing nothing,
+  /// when an event was recorded below the watermark.
   void write(std::ostream& os) const;
   std::string str() const;
 
@@ -153,14 +181,23 @@ class Journal {
     std::string header_value(const std::string& key) const;
   };
   /// Inverse of write(); throws std::runtime_error on malformed input
-  /// (bad magic, unparseable event, footer count mismatch).
+  /// (bad magic, malformed header, unrecognized line, unparseable event
+  /// or footer, missing footer, footer count mismatch).
   static Parsed read(std::istream& is);
 
  private:
   mutable Mutex mutex_;  ///< leaf: nothing is acquired under it
   std::vector<std::pair<std::string, std::string>> header_
       QS_GUARDED_BY(mutex_);
+  /// Open events: recorded at or above the watermark, not yet sealed.
   std::vector<JournalEvent> events_ QS_GUARDED_BY(mutex_);
+  /// Canonical "E <event>\n" lines of every sealed event, in order.
+  std::string sealed_ QS_GUARDED_BY(mutex_);
+  std::size_t sealed_count_ QS_GUARDED_BY(mutex_) = 0;
+  std::uint64_t watermark_ QS_GUARDED_BY(mutex_) = 0;
+  /// Serialized form of the first event recorded below the watermark
+  /// ("" = none; a serialized event is never empty).
+  std::string late_ QS_GUARDED_BY(mutex_);
 };
 
 }  // namespace obs

@@ -64,7 +64,6 @@ BlockPlan make_block_plan(const QuditSpace& space,
   plan.contig_run = run;
 
   plan.block = block;
-  plan.dimension = space.dimension();
   return plan;
 }
 

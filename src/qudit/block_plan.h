@@ -23,8 +23,7 @@ struct BlockPlan {
   std::vector<std::size_t> offsets;  ///< one entry per target-digit tuple
   std::vector<std::size_t> bases;    ///< one entry per non-target tuple
 
-  std::size_t block = 0;      ///< == offsets.size(): operator dimension
-  std::size_t dimension = 0;  ///< full-space dimension (block * bases.size())
+  std::size_t block = 0;  ///< == offsets.size(): operator dimension
 
   /// Length of the contiguous runs the bases sequence decomposes into:
   /// bases[q * contig_run + r] == bases[q * contig_run] + r for every run

@@ -310,7 +310,10 @@ struct ServiceCore {
     queue.remove(record);
     transition({record}, JobStatus::kCancelled, at, "client-cancel",
                "cancelled by client");
-    cv.notify_all();  // a drain waiting on an emptying queue may finish
+    // No wake: shrinking the queue can satisfy the workers' wait only
+    // through "draining && queue empty", and draining implies !paused
+    // (shutdown clears `paused`; pause() is a no-op once draining), so
+    // with this job queued no worker was waiting.
     return true;
   }
 
@@ -418,6 +421,13 @@ struct ServiceCore {
         MutexLock lock(mutex);
         // Inline predicate loop (not a lambda) so the analysis sees the
         // guarded reads under the held lock; see CondVar's header note.
+        // Wakes come only where this predicate can turn true: submit()
+        // wakes one worker unless paused (a paused submit cannot make it
+        // true, and submits stop once draining starts); resume() and
+        // shutdown() wake every worker; a worker that pops wakes one
+        // more while work remains, and all once a drain empties the
+        // queue. cancel_job() wakes nobody: draining implies !paused,
+        // so while draining no worker waits on a non-empty queue.
         while (!((draining && queue.size() == 0) ||
                  (!paused && queue.size() > 0)))
           cv.wait(mutex);
@@ -598,7 +608,8 @@ JobHandle JobService::submit(JobSpec spec) {
   // no later edge can be counted or journalled ahead of it.
   core_->transition({record}, JobStatus::kQueued, now);
   core_->queue.push(record);
-  core_->cv.notify_one();
+  // While paused no worker can take the job; resume() wakes them all.
+  if (!core_->paused) core_->cv.notify_one();
   return JobHandle(core_, std::move(record));
 }
 

@@ -1,6 +1,7 @@
 #include "sim/scenario.h"
 
 #include <cmath>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -103,10 +104,30 @@ ScenarioReport run_scenario(const Backend& backend, const WorkloadSpec& spec,
   CalibrationSnapshot calibration = CalibrationSnapshot::nominal(device, 0.02);
   const DriftModel drift(split_seed(spec.seed, kStormStream));
 
+  // Each (tenant index, variant) job is built the first time it is
+  // drawn and copied for every later arrival: building one computes its
+  // circuit's gate exponentials. Filled lazily, never sized by the
+  // spec's `variants`, which is outside input.
+  std::map<std::pair<std::size_t, std::size_t>, JobSpec> jobs;
+  const auto job_for = [&](std::size_t ti, std::size_t variant) {
+    auto it = jobs.find({ti, variant});
+    if (it == jobs.end())
+      it = jobs.emplace(std::make_pair(ti, variant),
+                        make_job(spec.tenants[ti], variant))
+               .first;
+    return it->second;
+  };
+
   std::vector<JobHandle> open;
   std::uint64_t snapshots = 0;
   for (std::uint64_t tick = 0; tick < spec.ticks; ++tick) {
-    if (tick > 0) clock.advance_seconds(spec.tick_seconds);
+    if (tick > 0) {
+      clock.advance_seconds(spec.tick_seconds);
+      // Every event of the previous tick is recorded by now: the driver
+      // records its own submits, cancels, marks and cuts, and a drain
+      // waits on every handle (a paused tick dispatches nothing).
+      journal.seal_before(obs::nanos_since_epoch(clock.now()));
+    }
     const obs::TimePoint now = clock.now();
     const bool flood = spec.flood_at(tick);
 
@@ -119,8 +140,8 @@ ScenarioReport run_scenario(const Backend& backend, const WorkloadSpec& spec,
           tenant.rate * (in_burst(tenant, tick) ? tenant.burst_factor : 1.0);
       const std::uint64_t arrivals = poisson(rng, rate);
       for (std::uint64_t k = 0; k < arrivals; ++k) {
-        JobSpec job = make_job(tenant, rng.index(std::max<std::size_t>(
-                                           1, tenant.variants)));
+        JobSpec job =
+            job_for(ti, rng.index(std::max<std::size_t>(1, tenant.variants)));
         if (tenant.deadline_fraction > 0.0 &&
             rng.bernoulli(tenant.deadline_fraction))
           job.with_deadline(tenant.deadline_seconds);

@@ -123,9 +123,11 @@ struct WorkloadSpec {
 /// (pure function of (kind, variant); the engine caches copies).
 Circuit make_circuit(JobKind kind, std::size_t variant);
 
-/// JobSpec for one arrival: circuit, tenant identity, priority, shots,
-/// and a dimension-derived diagonal observable. Deadlines and cancels
-/// are the engine's per-tick coin flips, not part of the shape.
+/// JobSpec of the tenant's `variant`-th sweep point: circuit, tenant
+/// identity, priority, shots, and a dimension-derived diagonal
+/// observable (the engine builds each once and copies it per arrival).
+/// Deadlines and cancels are the engine's per-tick coin flips, not part
+/// of the shape.
 JobSpec make_job(const TenantSpec& tenant, std::size_t variant);
 
 }  // namespace sim

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "obs/journal.h"
 
 namespace qs {
@@ -17,6 +19,12 @@ JournalEvent submitted_event(std::uint64_t t, std::uint64_t job) {
   e.type = JournalEventType::kSubmitted;
   e.job = job;
   return e;
+}
+
+/// The journal's events in export order, read back from its bytes.
+std::vector<JournalEvent> exported_events(const Journal& journal) {
+  std::istringstream is(journal.str());
+  return Journal::read(is).events;
 }
 
 // ---------------------------------------------------------------------
@@ -97,6 +105,16 @@ TEST(JournalEventTest, ParseRejectsMalformedLines) {
   EXPECT_THROW(JournalEvent::parse("t=1 job=2"), std::runtime_error);
   EXPECT_THROW(JournalEvent::parse("t=1 type=submitted color=red"),
                std::runtime_error);
+  // Numbers are canonical unsigned decimals over the whole value: no
+  // sign, no base prefix, no octal leading zero, no trailing junk.
+  EXPECT_THROW(JournalEvent::parse("t=-1 type=submitted job=2"),
+               std::runtime_error);
+  EXPECT_THROW(JournalEvent::parse("t=0x1f type=submitted job=2"),
+               std::runtime_error);
+  EXPECT_THROW(JournalEvent::parse("t=010 type=submitted job=2"),
+               std::runtime_error);
+  EXPECT_THROW(JournalEvent::parse("t=12abc type=submitted job=2"),
+               std::runtime_error);
 }
 
 // ---------------------------------------------------------------------
@@ -138,7 +156,7 @@ TEST(JournalTest, LifecycleEdgesSortInMachineOrderWithinTimestamp) {
   journal.record(dispatch);
   journal.record(submitted_event(50, 9));
 
-  const std::vector<JournalEvent> events = journal.events();
+  const std::vector<JournalEvent> events = exported_events(journal);
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].type, JournalEventType::kSubmitted);
   EXPECT_EQ(events[1].type, JournalEventType::kDispatched);
@@ -170,12 +188,89 @@ TEST(JournalTest, SnapshotSortsAfterEveryEventAtItsCutTime) {
   JournalEvent later = submitted_event(31, 78);
   journal.record(later);
 
-  const std::vector<JournalEvent> events = journal.events();
+  const std::vector<JournalEvent> events = exported_events(journal);
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events[0].type, JournalEventType::kPaused);
   EXPECT_EQ(events[1].type, JournalEventType::kCompleted);
   EXPECT_EQ(events[2].type, JournalEventType::kSnapshot);
   EXPECT_EQ(events[3].time_ns, 31u);
+}
+
+TEST(JournalTest, SealedJournalWritesTheUnsealedBytes) {
+  // Sealing turns events into canonical text early; the bytes must be
+  // those of a journal that never sealed, whatever the recording order.
+  Rng rng(2024);
+  std::vector<JournalEvent> set;
+  const std::uint64_t times[] = {10, 20, 30, 40, 50};
+  for (std::uint64_t t : times) {
+    for (std::uint64_t job = 1; job <= 6; ++job) {
+      JournalEvent e = submitted_event(t, job);
+      e.tenant = job % 2 == 0 ? "qrc" : "qaoa";
+      e.seed = rng.index(1000) + 1;
+      set.push_back(e);
+      // Tied on (time, job, type): only the serialized line orders them.
+      for (const char* label : {"class-b", "class-a", "class-c"}) {
+        JournalEvent failed = submitted_event(t, job);
+        failed.type = JournalEventType::kFailed;
+        failed.detail = label;
+        set.push_back(failed);
+      }
+      set.push_back(set.back());  // and an exact duplicate
+    }
+    JournalEvent recal;  // service-level
+    recal.time_ns = t;
+    recal.type = JournalEventType::kRecalibrated;
+    recal.epoch = t / 10;
+    set.push_back(recal);
+    JournalEvent pause;
+    pause.time_ns = t;
+    pause.type = JournalEventType::kPaused;
+    set.push_back(pause);
+    if (t % 20 == 0 || t == 50) {  // snapshot cuts
+      JournalEvent cut;
+      cut.time_ns = t;
+      cut.type = JournalEventType::kSnapshot;
+      cut.counters.submitted = t;
+      cut.counters.completed = t;
+      set.push_back(cut);
+    }
+  }
+  const auto shuffled = [&rng](std::vector<JournalEvent> events) {
+    for (std::size_t i = events.size(); i > 1; --i)
+      std::swap(events[i - 1], events[rng.index(i)]);
+    return events;
+  };
+
+  Journal unsealed;
+  for (const JournalEvent& e : shuffled(set)) unsealed.record(e);
+
+  // Watermarks on event times, and one that repeats a lower mark. An
+  // event of segment s (s watermarks at or below its time) is recorded
+  // at a random stage <= s, so seals also run with newer events open.
+  const std::uint64_t marks[] = {20, 30, 30, 50};
+  const std::size_t stages = std::size(marks) + 1;
+  std::vector<std::vector<JournalEvent>> by_stage(stages);
+  for (const JournalEvent& e : shuffled(set)) {
+    std::size_t segment = 0;
+    while (segment < std::size(marks) && marks[segment] <= e.time_ns)
+      ++segment;
+    by_stage[rng.index(segment + 1)].push_back(e);
+  }
+  Journal sealed;
+  for (std::size_t stage = 0; stage < stages; ++stage) {
+    if (stage > 0) sealed.seal_before(marks[stage - 1]);
+    for (const JournalEvent& e : by_stage[stage]) sealed.record(e);
+  }
+  sealed.seal_before(20);  // below the watermark: a no-op
+
+  EXPECT_EQ(sealed.size(), set.size());
+  EXPECT_EQ(sealed.size(), unsealed.size());
+  EXPECT_EQ(sealed.str(), unsealed.str());
+
+  // An event below the watermark breaks the ordering assumption: it is
+  // not written silently out of order.
+  sealed.record(submitted_event(49, 99));
+  EXPECT_THROW(sealed.str(), std::logic_error);
 }
 
 // ---------------------------------------------------------------------
@@ -238,6 +333,15 @@ TEST(JournalTest, ReadRejectsCorruptInput) {
   }
   {
     std::istringstream is("QSJ1\nH malformed-header-no-equals\nF count=0\n");
+    EXPECT_THROW(Journal::read(is), std::runtime_error);
+  }
+  {
+    std::istringstream is("QSJ1\nE t=1 type=submitted job=1\nF count=0x1\n");
+    EXPECT_THROW(Journal::read(is), std::runtime_error);  // hex count
+  }
+  {
+    std::istringstream is(
+        "QSJ1\nE t=1 type=submitted job=1\nF count=1 trailing\n");
     EXPECT_THROW(Journal::read(is), std::runtime_error);
   }
 }

@@ -227,7 +227,6 @@ TEST(KernelEquivalence, ShuffledBaseRunsMatchScalarBitwise) {
   plan.block = 2;
   plan.offsets = {0, 12};
   plan.bases = {8, 9, 0, 1, 4, 5};
-  plan.dimension = 24;
   plan.contig_run = 2;
 
   Rng rng(11);
