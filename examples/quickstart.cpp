@@ -66,12 +66,14 @@ int main() {
                         .with_observable("ghz_weight", ghz_weight));
   const auto results = session.submit_batch(std::move(batch));
   std::printf("\ntrajectory batch (4 x 250 shots, seeded):\n");
-  for (const ExecutionResult& r : results)
+  double backend_seconds = 0.0;
+  for (const ExecutionResult& r : results) {
     std::printf("  seed %016llx : GHZ-support weight %.4f\n",
                 static_cast<unsigned long long>(r.seed),
                 r.expectation("ghz_weight"));
-  std::printf("session totals: %zu requests, %.1f ms backend time\n",
-              session.requests_executed(),
-              1e3 * session.total_backend_seconds());
+    backend_seconds += r.wall_seconds;
+  }
+  std::printf("batch totals: %zu requests, %.1f ms backend time\n",
+              results.size(), 1e3 * backend_seconds);
   return 0;
 }

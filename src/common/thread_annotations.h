@@ -23,6 +23,14 @@
 //           mutex must not call back into the service core)
 //           JobRecord::mutex -> Journal::mutex_ (record -> journal:
 //           transition_locked records the edge's event, a leaf edge)
+//           ServiceCore::mutex -> CalibrationStore::mutex_ (core ->
+//           calibration store: recalibrate() reads latest_epoch() and
+//           publishes under the core lock so epochs serialize, and the
+//           dispatch edge of ServiceCore::transition reads
+//           latest_epoch() to count stale hits)
+//           ServiceCore::mutex -> ManualClock::mutex_ (core -> clock:
+//           worker_loop stamps each pop with time_source->now(), and
+//           the publish under recalibrate() times its span)
 //   obs:    ServiceCore::mutex -> MetricsRegistry::names_mutex_ (lazy
 //           tenant-histogram registration in submit);
 //           names_mutex_ -> shard mutexes in index order (snapshot()
@@ -31,13 +39,14 @@
 //           journal leaf (a MetricsTxn commit, span record or
 //           service-level journal mark while the caller holds its own
 //           lock, e.g. ServiceCore::transition under ServiceCore::mutex)
-//   leaves: KeyedArtifactCache::mutex_, CalibrationStore::mutex_,
-//           ResultStore::mutex_ -- taken alone, nothing acquired under
-//           them (producers run OUTSIDE the cache lock, and their
-//           metric txns are declared before the MutexLock so they
-//           commit after release); MetricsRegistry shard mutexes,
-//           Tracer shard mutexes, Journal::mutex_, ManualClock::mutex_
-//           -- terminal.
+//   leaves: KeyedArtifactCache::mutex_, ResultStore::mutex_ -- taken
+//           alone, nothing acquired under them (producers run OUTSIDE
+//           the cache lock, and their metric txns are declared before
+//           the MutexLock so they commit after release);
+//           CalibrationStore::mutex_ -- taken alone or under
+//           ServiceCore::mutex (above), nothing acquired under it;
+//           MetricsRegistry shard mutexes, Tracer shard mutexes,
+//           Journal::mutex_, ManualClock::mutex_ -- terminal.
 #ifndef QS_COMMON_THREAD_ANNOTATIONS_H
 #define QS_COMMON_THREAD_ANNOTATIONS_H
 

@@ -60,7 +60,6 @@ const detail::BlockPlan* CompiledCircuit::pooled_plan(
 CompiledCircuit::CompiledCircuit(const Circuit& circuit,
                                  const NoiseModel& noise, PlanOptions options)
     : space_(circuit.space()),
-      options_(options),
       plan_pool_(
           std::make_shared<std::map<std::vector<int>, detail::BlockPlan>>()),
       num_parameters_(circuit.num_parameters()),
@@ -96,10 +95,9 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
     // Fusion: only into a step that emits no noise, so the channel (and
     // with it the RNG consumption) sequence is exactly the seed path's.
     CompiledStep* last = steps_.empty() ? nullptr : &steps_.back();
-    const bool fusible =
-        last != nullptr && last->channels.empty() && last->sites == op.sites;
-    if (fusible && !op.diagonal && last->kind == CompiledStep::Kind::kDense &&
-        options_.fuse_dense) {
+    const bool fusible = options.fuse && last != nullptr &&
+                         last->channels.empty() && last->sites == op.sites;
+    if (fusible && !op.diagonal && last->kind == CompiledStep::Kind::kDense) {
       // Chain bookkeeping before the fold: when the first parametric op
       // lands on a constant step, the accumulated product so far becomes
       // the chain's constant prefix (non-parametric ops only, so the
@@ -114,8 +112,7 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
       last->op = kernels::OpKernel::analyze(op.matrix * last->op.dense);
       ++last->source_ops;
     } else if (fusible && op.diagonal &&
-               last->kind == CompiledStep::Kind::kDiagonal &&
-               options_.merge_diagonals) {
+               last->kind == CompiledStep::Kind::kDiagonal) {
       if (std::vector<StepFactor>* chain = chain_for_last()) {
         chain->push_back(op.parametric() ? parametric_factor(op)
                                          : constant_diag_factor(op.diag));
@@ -168,7 +165,6 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::bind(
   // parameter-independent step; only the recipes below touch payloads.
   std::shared_ptr<CompiledCircuit> bound(new CompiledCircuit());
   bound->space_ = space_;
-  bound->options_ = options_;
   bound->steps_ = steps_;
   bound->plan_pool_ = plan_pool_;
   bound->bindings_ = bindings_;

@@ -45,21 +45,17 @@ namespace qs {
 /// Lowering knobs. The defaults fuse; use none() when bitwise agreement
 /// with the gate-by-gate path is required (e.g. equivalence tests).
 struct PlanOptions {
-  /// Fuse adjacent dense gates on the identical site list (later gate's
-  /// matrix left-multiplies the earlier) when no noise channel intervenes.
-  bool fuse_dense = true;
-  /// Merge consecutive diagonal gates on the identical site list.
-  bool merge_diagonals = true;
+  /// Fuse adjacent gates of one kind on the identical site list when no
+  /// noise channel intervenes: a dense gate's matrix left-multiplies the
+  /// earlier dense step's, and consecutive diagonals merge.
+  bool fuse = true;
 
-  /// Lowering with every transformation disabled: the compiled plan is a
-  /// 1:1 image of the circuit and runs bitwise like the seed path.
-  static PlanOptions none() { return {false, false}; }
+  /// Lowering with fusion disabled: the compiled plan is a 1:1 image of
+  /// the circuit and runs bitwise like the seed path.
+  static PlanOptions none() { return {false}; }
 
   /// Encodes the options into cache-key bits.
-  std::uint8_t bits() const {
-    return static_cast<std::uint8_t>((fuse_dense ? 1 : 0) |
-                                     (merge_diagonals ? 2 : 0));
-  }
+  std::uint8_t bits() const { return fuse ? 1 : 0; }
 };
 
 /// One pre-resolved noise channel application: Kraus operators analyzed
@@ -132,7 +128,6 @@ class CompiledCircuit {
 
   const QuditSpace& space() const { return space_; }
   const std::vector<CompiledStep>& steps() const { return steps_; }
-  const PlanOptions& options() const { return options_; }
 
   // --- parameters ---------------------------------------------------------
 
@@ -212,7 +207,6 @@ class CompiledCircuit {
   const detail::BlockPlan* pooled_plan(const std::vector<int>& sites);
 
   QuditSpace space_;
-  PlanOptions options_;
   std::vector<CompiledStep> steps_;
   /// Plans deduplicated by site list; node-based map keeps them at stable
   /// addresses for the steps' raw pointers, and the shared_ptr keeps them

@@ -27,11 +27,7 @@ ExecutionResult ExecutionSession::execute(const ExecutionRequest& request) {
 
 ExecutionResult ExecutionSession::submit(ExecutionRequest request) {
   assign_seed(request);
-  ExecutionResult result = execute(request);
-  ++requests_executed_;
-  total_backend_seconds_ += result.wall_seconds;
-  kernel_dispatch_ += result.kernel_dispatch;
-  return result;
+  return execute(request);
 }
 
 std::vector<ExecutionResult> ExecutionSession::submit_batch(
@@ -49,12 +45,6 @@ std::vector<ExecutionResult> ExecutionSession::submit_batch(
   std::vector<ExecutionResult> results(requests.size());
   parallel_for(requests.size(), options_.threads,
                [&](std::size_t i) { results[i] = execute(requests[i]); });
-
-  for (const ExecutionResult& result : results) {
-    ++requests_executed_;
-    total_backend_seconds_ += result.wall_seconds;
-    kernel_dispatch_ += result.kernel_dispatch;
-  }
   return results;
 }
 

@@ -3,11 +3,11 @@
 // An ExecutionSession owns the concerns that sit above a single request:
 // fanning a batch out over worker threads, deriving a deterministic RNG
 // stream per request (seed-splitting, so results are bitwise reproducible
-// for any thread count), caching the compiled artifacts repeated requests
-// share, and aggregating telemetry. Each request then takes the one
-// per-request path, resolve_artifacts + Backend::execute (exec/backend.h).
-// The backend is an injection point: the same session code drives exact
-// simulation and noisy hardware forecasts.
+// for any thread count), and caching the compiled artifacts repeated
+// requests share. Each request then takes the one per-request path,
+// resolve_artifacts + Backend::execute (exec/backend.h). The backend is
+// an injection point: the same session code drives exact simulation and
+// noisy hardware forecasts.
 #ifndef QS_EXEC_SESSION_H
 #define QS_EXEC_SESSION_H
 
@@ -59,21 +59,6 @@ class ExecutionSession {
   std::vector<ExecutionResult> submit_batch(
       std::vector<ExecutionRequest> requests);
 
-  // --- telemetry ----------------------------------------------------------
-
-  /// Requests executed over the session's lifetime.
-  std::size_t requests_executed() const { return requests_executed_; }
-
-  /// Sum of per-request backend wall time (exceeds elapsed wall time when
-  /// batches run in parallel).
-  double total_backend_seconds() const { return total_backend_seconds_; }
-
-  /// Kernel invocations by SIMD dispatch tier, summed over every result
-  /// the session produced (see ExecutionResult::kernel_dispatch).
-  const kernels::DispatchCounts& kernel_dispatch() const {
-    return kernel_dispatch_;
-  }
-
   /// The session's plan cache (telemetry: hits/misses/size). Batch
   /// submission resolves plans inside the worker fan-out (the cache's
   /// in-flight slots keep each key compiled exactly once), so repeated
@@ -101,9 +86,6 @@ class ExecutionSession {
   PlanCache plan_cache_;
   TranspileCache transpile_cache_;
   std::uint64_t next_stream_ = 0;
-  std::size_t requests_executed_ = 0;
-  double total_backend_seconds_ = 0.0;
-  kernels::DispatchCounts kernel_dispatch_;
 };
 
 }  // namespace qs

@@ -13,12 +13,10 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "calib/snapshot.h"
 #include "common/thread_annotations.h"
 #include "exec/request.h"
 #include "obs/clock.h"
@@ -164,8 +162,10 @@ namespace detail {
 /// Shared lifecycle record of one submitted job. Owned jointly by the
 /// service (queue + bookkeeping) and every JobHandle; `mutex` guards the
 /// mutable tail (status/result/error) and `cv` signals terminal
-/// transitions. Everything above the mutex is frozen at submission and
-/// may be read without locking.
+/// transitions. Everything above the mutex is `const`, set by the
+/// constructor from what `submit` froze, and may be read without
+/// locking: after submission nothing rewrites a job's request, pinned
+/// epoch or device view.
 ///
 /// Lock order: ServiceCore::mutex -> JobRecord::mutex (core -> record).
 /// Code holding a record mutex must never reach back into the service
@@ -173,7 +173,9 @@ namespace detail {
 struct JobRecord {
   JobRecord(JobId job_id, std::string tenant_name, int prio,
             std::uint64_t key, ExecutionRequest req, obs::TimePoint now,
-            double deadline_s)
+            double deadline_s, obs::HistogramId latency_hist = {},
+            std::uint64_t epoch = 0,
+            std::shared_ptr<const Processor> calibrated = nullptr)
       : id(job_id),
         tenant(std::move(tenant_name)),
         priority(prio),
@@ -182,6 +184,9 @@ struct JobRecord {
         has_deadline(deadline_s > 0.0),
         deadline(now + std::chrono::duration_cast<obs::Duration>(
                            std::chrono::duration<double>(deadline_s))),
+        tenant_latency_id(latency_hist),
+        calib_epoch(epoch),
+        calibrated_proc(std::move(calibrated)),
         request(std::move(req)) {}
 
   // --- frozen at submission ---------------------------------------------
@@ -189,8 +194,9 @@ struct JobRecord {
   const std::string tenant;
   const int priority;
   /// Plan-sharing group: jobs with equal keys execute the same
-  /// (structural circuit, noise, options) compiled plan -- possibly under
-  /// different parameter bindings -- and may be batched together.
+  /// structural circuit's compiled plan (on the same device, when
+  /// hardware-targeted) -- possibly under different parameter bindings
+  /// -- and may be batched together.
   const std::uint64_t plan_key;
   /// Timestamps on the service's injected obs::Clock (real or virtual).
   const obs::TimePoint submitted_at;
@@ -198,17 +204,17 @@ struct JobRecord {
   const obs::TimePoint deadline;
   /// The tenant's latency histogram in the service registry, resolved
   /// once at submission so workers record without a name lookup.
-  obs::HistogramId tenant_latency_id;
+  const obs::HistogramId tenant_latency_id;
+  /// Epoch of the calibration snapshot the job pinned at submission (0 =
+  /// uncalibrated). The snapshot itself stays pinned where it is used:
+  /// by `calibrated_proc` and by `request.readout_calibration`.
+  const std::uint64_t calib_epoch;
+  /// The service-owned calibrated device view `request.processor` points
+  /// to (null when the job is logical or the store was empty), so the
+  /// caller's spec.processor is never retargeted.
+  const std::shared_ptr<const Processor> calibrated_proc;
   /// Fully seeded request; the job's result is a pure function of it.
-  ExecutionRequest request;
-  /// Calibration pinned at submission: the snapshot the job's processor
-  /// view and/or readout mitigation consumed (nullptr = uncalibrated),
-  /// and the service-owned calibrated device copy `request.processor`
-  /// points into (spec.processor stays untouched). Written at submission
-  /// before the record enters the queue; under the kRefreshAtDispatch
-  /// staleness policy the owning worker rebinds both at dispatch.
-  std::shared_ptr<const CalibrationSnapshot> calibration;
-  std::optional<Processor> calibrated_proc;
+  const ExecutionRequest request;
 
   // --- guarded by `mutex` ------------------------------------------------
   mutable Mutex mutex;
@@ -247,7 +253,7 @@ struct JobRecord {
         event.type = obs::JournalEventType::kSubmitted;
         event.seed = request.seed;
         if (has_deadline) event.deadline_ns = obs::nanos_since_epoch(deadline);
-        if (calibration != nullptr) event.epoch = calibration->epoch;
+        event.epoch = calib_epoch;
         break;
       case JobStatus::kRunning:
         event.type = obs::JournalEventType::kDispatched;

@@ -9,7 +9,6 @@
 #include "common/require.h"
 #include "common/rng.h"
 #include "compiler/transpile_cache.h"
-#include "noise/noise_model.h"
 
 namespace qs {
 
@@ -38,6 +37,8 @@ namespace {
 /// (hardware-targeted jobs transpile once per (circuit, processor,
 /// options) shape).
 constexpr std::size_t kTranspileCacheCapacity = 32;
+/// Capacity of the compiled-plan cache the workers share.
+constexpr std::size_t kPlanCacheCapacity = 64;
 
 /// FNV-1a of a tenant name: selects the tenant's seed stream.
 std::uint64_t tenant_hash(const std::string& tenant) {
@@ -90,15 +91,12 @@ struct ServiceCore {
                         ? o.clock
                   : o.tracer != nullptr ? &o.tracer->time_source()
                                         : &obs::SteadyClock::instance()),
-        plan_cache(o.plan_cache_capacity, &registry),
+        plan_cache(kPlanCacheCapacity, &registry),
         transpile_cache(kTranspileCacheCapacity, &registry),
         calib_store(CalibrationStore::kDefaultCapacity, &registry, tracer),
         store(o.result_store_capacity, o.result_ttl_seconds, time_source,
               &registry),
         paused(o.start_paused) {
-    plan_key_suffix = fingerprint(backend.noise_model()) +
-                      0x9e3779b97f4a7c15ull *
-                          static_cast<std::uint64_t>(PlanOptions{}.bits() + 1);
     submitted_id = registry.counter("serve.jobs.submitted");
     completed_id = registry.counter("serve.jobs.completed");
     failed_id = registry.counter("serve.jobs.failed");
@@ -135,9 +133,6 @@ struct ServiceCore {
   TranspileCache transpile_cache;
   CalibrationStore calib_store;
   ResultStore store;
-  /// Constant (noise, options) contribution to every job's plan key,
-  /// folded once so submit only fingerprints the circuit.
-  std::uint64_t plan_key_suffix = 0;
 
   // Metric handles, resolved once at construction (plain fields: written
   // only in the ctor, read-only afterwards).
@@ -152,7 +147,8 @@ struct ServiceCore {
 
   /// Guards every member annotated with it (scheduler state); acquired
   /// before any JobRecord::mutex, never after one (the core -> record
-  /// lock order, see thread_annotations.h).
+  /// lock order), and before the calibration store's and the clock's
+  /// leaf locks (see thread_annotations.h).
   Mutex mutex;
   CondVar cv;  ///< wakes workers (work ready / shutdown)
   FairShareQueue queue QS_GUARDED_BY(mutex);
@@ -174,6 +170,7 @@ struct ServiceCore {
   ///      (submitted = queued + running + completed + failed + cancelled
   ///      + expired), balance ops first so they land in the first atomic
   ///      chunk even when the edge's histogram observations overflow it;
+  ///      the dispatch edge counts its stale hits in the same txn;
   ///   2. the kQueue span closes as a job leaves the queue, the kJob
   ///      span as it becomes terminal;
   ///   3. per record, transition_locked moves status and journals the
@@ -199,14 +196,28 @@ struct ServiceCore {
           txn.add(submitted_id, n);
           txn.gauge_add(queued_id, signed_n);
           break;
-        case JobStatus::kRunning:
+        case JobStatus::kRunning: {
           txn.gauge_add(queued_id, -signed_n);
           txn.gauge_add(running_id, signed_n);
           txn.observe(batch_hist_id, static_cast<double>(n));
-          for (const Record& r : jobs)
+          // A job that reads the device dispatches stale when a newer
+          // epoch landed while it was queued; it still runs on the
+          // snapshot it pinned. recalibrate() publishes under `mutex`,
+          // which every dispatch edge holds, so the epoch read here is
+          // the one current at dispatch.
+          const std::uint64_t latest = calib_store.latest_epoch();
+          std::size_t stale = 0;
+          for (const Record& r : jobs) {
             txn.observe(queue_wait_id,
                         obs::seconds_between(r->submitted_at, at));
+            const bool reads_device =
+                r->request.processor != nullptr ||
+                r->request.readout_calibration != nullptr;
+            if (reads_device && r->calib_epoch < latest) ++stale;
+          }
+          txn.add(stale_hits_id, stale);
           break;
+        }
         case JobStatus::kCancelled:
         case JobStatus::kExpired:
           txn.gauge_add(queued_id, -signed_n);
@@ -250,8 +261,7 @@ struct ServiceCore {
         const auto record_span = [&](obs::Phase phase) {
           obs::Span span = obs::Tracer::make(phase, r.id, r.tenant.c_str(),
                                              r.submitted_at, at);
-          if (phase == obs::Phase::kJob && r.calibration != nullptr)
-            span.epoch = r.calibration->epoch;
+          if (phase == obs::Phase::kJob) span.epoch = r.calib_epoch;
           if (detail != nullptr) span.set_detail(detail);
           tracer->record(span);
         };
@@ -317,48 +327,6 @@ struct ServiceCore {
     return true;
   }
 
-  /// Counts -- and under kRefreshAtDispatch rebinds -- batch members
-  /// whose pinned calibration fell behind the store's latest epoch
-  /// (a recalibration landed while they were queued). The popped records
-  /// are exclusively owned by this worker, so the rebind does not race
-  /// with handles (which only read the frozen seed/id fields).
-  void handle_staleness(const std::vector<Record>& batch)
-      QS_EXCLUDES(mutex) {
-    const std::uint64_t current = calib_store.latest_epoch();
-    if (current == 0) return;
-    CalibrationStore::Ptr latest;
-    std::size_t stale = 0;
-    for (const Record& r : batch) {
-      const bool uses_calibration =
-          r->request.processor != nullptr ||
-          r->request.readout_calibration != nullptr;
-      if (!uses_calibration) continue;
-      const std::uint64_t pinned =
-          r->calibration != nullptr ? r->calibration->epoch : 0;
-      if (pinned >= current) continue;
-      ++stale;
-      if (opts.staleness != CalibrationStalenessPolicy::kRefreshAtDispatch)
-        continue;
-      if (latest == nullptr) latest = calib_store.latest();
-      try {
-        if (r->request.processor != nullptr) {
-          r->calibrated_proc =
-              r->request.processor->with_calibration(latest);
-          r->request.processor = &*r->calibrated_proc;
-        }
-        if (r->request.readout_calibration != nullptr)
-          r->request.readout_calibration = latest;
-        r->calibration = latest;
-      } catch (...) {
-        // The latest snapshot does not fit this job's device
-        // (recalibrate() published a snapshot for a different processor).
-        // Execute with the frozen view instead of letting the exception
-        // escape the worker thread and terminate the process.
-      }
-    }
-    if (stale > 0) registry.add(stale_hits_id, stale);
-  }
-
   /// Runs one batch. All jobs share `plan_key`, so the transpile artifact
   /// (hardware-targeted jobs) and the compiled plan are resolved once,
   /// from the seed job's request, through the shared caches, and every
@@ -374,7 +342,6 @@ struct ServiceCore {
       batch_detail = "n=" + std::to_string(batch.size());
       batch_span.set_detail(batch_detail.c_str());
     }
-    handle_staleness(batch);
     std::vector<JobOutcome> outcomes(batch.size());
     ExecutionArtifacts artifacts;
     try {
@@ -511,35 +478,19 @@ JobHandle JobService::submit(JobSpec spec) {
   // Pin the device's current calibration at the submission door: the
   // calibrated view's fingerprint folds in the snapshot epoch, so after
   // a recalibration new jobs land in fresh transpile/plan/batching
-  // groups while queued jobs keep their frozen view.
-  std::shared_ptr<const CalibrationSnapshot> calib =
-      core_->calib_store.latest();
-  std::optional<Processor> calibrated;
+  // groups while queued jobs keep their frozen view. The record owns the
+  // calibrated device copy, so spec.processor is never retargeted.
+  const CalibrationStore::Ptr calib = core_->calib_store.latest();
+  std::shared_ptr<const Processor> calibrated;
   if (spec.processor != nullptr && calib != nullptr)
-    calibrated = spec.processor->with_calibration(calib);
-  const Processor* target =
-      calibrated.has_value() ? &*calibrated : spec.processor;
+    calibrated = std::make_shared<const Processor>(
+        spec.processor->with_calibration(calib));
   if (spec.mitigate_readout)
     require(calib != nullptr,
             "JobService::submit: readout mitigation requested but no "
             "calibration snapshot has been published (recalibrate() first)");
-
-  // The plan key is the plan-cache identity of the job: jobs with equal
-  // keys share one CompiledCircuit and may be batched. The digest is
-  // structural -- parametric sweep points differ only in bound values, so
-  // they share one key, one transpile, one plan, and one batch group,
-  // each point binding the shared plan at dispatch. Fingerprinting walks
-  // the circuit, so it happens outside the service lock; the constant
-  // (noise, options) term was folded at construction.
-  std::uint64_t key = structural_fingerprint(spec.circuit);
-  key = fnv::combine(core_->plan_key_suffix, key);
-  if (target != nullptr) {
-    // Hardware-targeted jobs only batch with jobs transpiling to the
-    // same physical circuit: fold the (calibrated) device and transpile
-    // options into the plan-sharing key.
-    key = fnv::combine(fingerprint(*target), key);
-    key = fnv::combine(fingerprint(spec.transpile_options), key);
-  }
+  const std::uint64_t epoch =
+      calibrated != nullptr || spec.mitigate_readout ? calib->epoch : 0;
 
   ExecutionRequest request(std::move(spec.circuit));
   request.shots = spec.shots;
@@ -548,12 +499,28 @@ JobHandle JobService::submit(JobSpec spec) {
   request.observables = std::move(spec.observables);
   request.initial_digits = std::move(spec.initial_digits);
   request.max_dim = spec.max_dim;
-  request.processor = spec.processor;
+  request.processor = calibrated != nullptr ? calibrated.get() : spec.processor;
   request.transpile_options = spec.transpile_options;
+  if (spec.mitigate_readout) request.readout_calibration = calib;
   request.seed = spec.seed;
   // Malformed bindings fail at the submission door (no handle is ever
   // issued), not as a job failure at dispatch.
   (void)effective_parameters(request);
+
+  // The plan key is the batching identity of the job: jobs with equal
+  // keys resolve to one CompiledCircuit and may be batched. The digest is
+  // structural -- parametric sweep points differ only in bound values, so
+  // they share one key, one transpile, one plan, and one batch group,
+  // each point binding the shared plan at dispatch. Fingerprinting walks
+  // the circuit, so it happens outside the service lock.
+  std::uint64_t key = structural_fingerprint(request.circuit);
+  if (request.processor != nullptr) {
+    // Hardware-targeted jobs only batch with jobs transpiling to the
+    // same physical circuit: fold the (calibrated) device and transpile
+    // options into the plan-sharing key.
+    key = fnv::combine(fingerprint(*request.processor), key);
+    key = fnv::combine(fingerprint(request.transpile_options), key);
+  }
 
   const obs::TimePoint now = core_->time_source->now();
   MutexLock lock(core_->mutex);
@@ -572,38 +539,25 @@ JobHandle JobService::submit(JobSpec spec) {
     request.seed = split_seed(tenant_root, next_stream++);
   }
 
+  // Observability identity: the tenant's latency histogram handle
+  // (registered on the tenant's first submit) and the job's trace
+  // context.
   const JobId id = ++core_->next_id;
-  auto record = std::make_shared<detail::JobRecord>(
-      id, std::move(spec.tenant), spec.priority, key, std::move(request),
-      now, spec.deadline_seconds);
-  // Attach the pinned calibration before the record becomes visible to
-  // workers: the record owns the calibrated device copy, so the raw
-  // spec.processor pointer is never aged by a recalibration.
-  if (calibrated.has_value() || spec.mitigate_readout)
-    record->calibration = calib;
-  if (calibrated.has_value()) {
-    record->calibrated_proc = std::move(calibrated);
-    record->request.processor = &*record->calibrated_proc;
-  }
-  if (spec.mitigate_readout) record->request.readout_calibration = calib;
-
-  // Observability identity, attached before the record becomes visible
-  // to workers: the tenant's latency histogram handle (registered on
-  // the tenant's first submit) and the job's trace context.
-  obs::HistogramId& tenant_hist = core_->tenant_hists[record->tenant];
+  obs::HistogramId& tenant_hist = core_->tenant_hists[spec.tenant];
   if (!tenant_hist.valid())
     tenant_hist = core_->registry.histogram(
-        "serve.tenant." + record->tenant + ".latency_seconds",
+        "serve.tenant." + spec.tenant + ".latency_seconds",
         obs::MetricsRegistry::latency_bounds_seconds());
-  record->tenant_latency_id = tenant_hist;
   if (core_->tracer != nullptr) {
-    record->request.with_trace(core_->tracer, id, record->tenant.c_str());
+    request.with_trace(core_->tracer, id, spec.tenant.c_str());
     submit_span.set_job(id);
-    submit_span.set_tenant(record->tenant.c_str());
-    if (record->calibration != nullptr)
-      submit_span.set_epoch(record->calibration->epoch);
+    submit_span.set_tenant(spec.tenant.c_str());
+    submit_span.set_epoch(epoch);
   }
 
+  auto record = std::make_shared<detail::JobRecord>(
+      id, std::move(spec.tenant), spec.priority, key, std::move(request), now,
+      spec.deadline_seconds, tenant_hist, epoch, std::move(calibrated));
   // The admission edge precedes the record's visibility to workers, so
   // no later edge can be counted or journalled ahead of it.
   core_->transition({record}, JobStatus::kQueued, now);

@@ -9,15 +9,20 @@
 // while a fixed pool of workers -- all sharing one thread-safe
 // TranspileCache and PlanCache -- drains a priority queue with fair-share
 // tenant interleaving and plan-aware batching (jobs with equal
-// (structural circuit, noise, options) fingerprints dispatch as one batch
-// over one CompiledCircuit, resolved once; parametric sweep points share
-// the group and bind the plan per job).
+// structural circuit fingerprints -- and, when hardware-targeted, equal
+// device and transpile options -- dispatch as one batch over one
+// CompiledCircuit, resolved once; parametric sweep points share the
+// group and bind the plan per job).
 //
-// Determinism contract (the headline guarantee): every job's seed is
-// fixed at submission -- explicitly, or from its tenant's stream (the
-// k-th auto-seeded job of a tenant gets split_seed(tenant_root, k)) -- so
-// results are bitwise identical regardless of queue order, batching
-// decisions, or worker count. See docs/ARCHITECTURE.md "Serve layer".
+// Determinism contract (the headline guarantee): every job's seed and
+// calibration are fixed at submission. The seed is explicit or comes
+// from its tenant's stream (the k-th auto-seeded job of a tenant gets
+// split_seed(tenant_root, k)); the calibration is the snapshot latest at
+// submission, kept even when a recalibration lands while the job is
+// queued. A result is therefore a pure function of (request, seed,
+// pinned epoch): bitwise identical regardless of queue order, batching
+// decisions, worker count, or when recalibrations land. See
+// docs/ARCHITECTURE.md "Serve layer".
 #ifndef QS_SERVE_SERVICE_H
 #define QS_SERVE_SERVICE_H
 
@@ -45,22 +50,6 @@ namespace detail {
 struct ServiceCore;
 }
 
-/// What a worker does when it dispatches a job whose pinned calibration
-/// epoch is older than the store's latest (a recalibration landed while
-/// the job sat in the queue). Every such dispatch counts as a stale hit
-/// either way.
-enum class CalibrationStalenessPolicy {
-  /// Execute with the calibration frozen at submission (default): the
-  /// job's result stays a pure function of its submitted request, so the
-  /// serve determinism contract is unconditional.
-  kUseSubmitted,
-  /// Rebind the job to the latest snapshot at dispatch: fresher device
-  /// model, but the result then depends on when recalibrations land
-  /// relative to dispatch (reproducible only when recalibration timing
-  /// is controlled, e.g. paused bursts in tests).
-  kRefreshAtDispatch,
-};
-
 /// Service-level knobs.
 struct ServiceOptions {
   /// Worker threads draining the queue. Each runs its batches serially;
@@ -74,17 +63,12 @@ struct ServiceOptions {
   std::size_t max_queued = 0;
   /// Root seed of the per-tenant auto-seed streams.
   std::uint64_t seed = 0x5e4ce5eedf005e4cull;
-  /// Capacity of the shared compiled-plan cache.
-  std::size_t plan_cache_capacity = 64;
   /// ResultStore bounds (see result_store.h).
   std::size_t result_store_capacity = 1024;
   double result_ttl_seconds = 300.0;
   /// Start with dispatch paused (jobs queue up until resume()); useful for
   /// deterministic tests and for accumulating bursts into full batches.
   bool start_paused = false;
-  /// Staleness policy for jobs dispatched after a recalibration.
-  CalibrationStalenessPolicy staleness =
-      CalibrationStalenessPolicy::kUseSubmitted;
 
   // --- observability (all optional, non-owning; must outlive the
   // service) ---------------------------------------------------------
@@ -142,8 +126,10 @@ struct ServiceTelemetry {
   std::size_t results_stored = 0;  ///< gauge: ResultStore entries
   std::uint64_t calib_epoch = 0;   ///< gauge: latest published epoch
   std::size_t recalibrations = 0;  ///< successful recalibrate() calls
-  /// Jobs dispatched with a calibration older than the store's latest
-  /// (recalibration landed while they were queued).
+  /// Jobs that read the device (processor or readout mitigation) and
+  /// dispatched with a pinned epoch older than the store's latest (a
+  /// recalibration landed while they were queued). They still ran on the
+  /// snapshot they pinned.
   std::size_t stale_hits = 0;
   /// Kernel-layer SIMD dispatch tier hits accumulated from every finished
   /// job (see kernels::DispatchCounts): compile-time-specialized applies,
@@ -227,8 +213,8 @@ class JobService {
 
   const ServiceOptions& options() const { return options_; }
 
-  /// Accepts a job: freezes its seed and plan key, enqueues it, and
-  /// returns a handle. Thread-safe (any number of client threads).
+  /// Accepts a job: freezes its seed, calibration and plan key, enqueues
+  /// it, and returns a handle. Thread-safe (any number of client threads).
   /// Throws std::runtime_error after shutdown or when the queue is full.
   JobHandle submit(JobSpec spec);
 
@@ -247,8 +233,9 @@ class JobService {
   /// characterization runs publish without manual epoch bookkeeping.
   /// Jobs submitted afterwards pin the new snapshot; their processor
   /// fingerprints change, so the shared transpile/plan caches miss once
-  /// and recompile against the recalibrated device. Thread-safe; allowed
-  /// after shutdown (publishes, affects nothing).
+  /// and recompile against the recalibrated device. Queued jobs keep the
+  /// snapshot they pinned and count as stale hits when they dispatch.
+  /// Thread-safe; allowed after shutdown (publishes, affects nothing).
   std::uint64_t recalibrate(CalibrationSnapshot snapshot);
 
   /// The service's calibration store, behind recalibrate(). While it is
@@ -274,9 +261,6 @@ class JobService {
   /// (scheduler, caches, result store, calibration store, per-tenant
   /// latency histograms).
   obs::MetricsSnapshot metrics() const;
-
-  /// The tracer from ServiceOptions (null when tracing is off).
-  obs::Tracer* tracer() const { return options_.tracer; }
 
  private:
   ServiceOptions options_;

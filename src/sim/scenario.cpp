@@ -85,7 +85,6 @@ ScenarioReport run_scenario(const Backend& backend, const WorkloadSpec& spec,
   ServiceOptions service_options;
   service_options.workers = options.workers;
   service_options.max_batch = options.max_batch;
-  service_options.plan_cache_capacity = options.plan_cache_capacity;
   service_options.start_paused = true;
   service_options.clock = &clock;
   service_options.journal = &journal;

@@ -37,9 +37,6 @@ namespace sim {
 struct ScenarioOptions {
   std::size_t workers = 2;
   std::size_t max_batch = 16;
-  /// Shared compiled-plan cache capacity (the workload cycles through a
-  /// few dozen distinct circuits, so arrivals are mostly cache hits).
-  std::size_t plan_cache_capacity = 128;
 };
 
 /// Tallies of one run, summarized from the service's final telemetry

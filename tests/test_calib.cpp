@@ -376,31 +376,44 @@ TEST(ServeRecalibration, InvalidatesCachesAndCountsStaleHits) {
   EXPECT_EQ(t.transpile_cache_hits, 1u);    // fresh2 reuses fresh1's
 }
 
-TEST(ServeRecalibration, RefreshAtDispatchReExecutesAgainstLatest) {
+TEST(ServeRecalibration, QueuedJobRunsOnItsPinnedSnapshot) {
+  // A recalibration that lands while a hardware-targeted, mitigated job
+  // is queued makes its dispatch a stale hit, but the job still runs --
+  // and mitigates -- on the snapshot it pinned at submission: bitwise the
+  // result of a service that never published the newer epoch.
   const Processor proc = Processor::testbed_device();
   const TrajectoryBackend backend{device_noise()};
+  const CalibrationSnapshot base = CalibrationSnapshot::nominal(proc, 0.05);
+  const JobSpec spec = JobSpec(workload_circuit())
+                           .with_shots(16)
+                           .with_seed(77)
+                           .with_compilation(proc)
+                           .with_readout_mitigation();
   ServiceOptions options;
   options.workers = 1;
   options.start_paused = true;
-  options.staleness = CalibrationStalenessPolicy::kRefreshAtDispatch;
-  JobService service(backend, options);
-  const CalibrationSnapshot base = CalibrationSnapshot::nominal(proc, 0.05);
-  service.recalibrate(base);
 
-  JobHandle job = service.submit(JobSpec(workload_circuit())
-                                     .with_shots(16)
-                                     .with_seed(77)
-                                     .with_compilation(proc)
-                                     .with_readout_mitigation());
-  const DriftModel drift(5);
-  service.recalibrate(drift.advance(base, 3600.0));
-  service.resume();
-  const ExecutionResult result = job.result();
-  const ServiceTelemetry t = service.telemetry();
-  service.shutdown(ShutdownMode::kDrain);
-  // The refreshed job executed -- and mitigated -- against epoch 2.
-  EXPECT_EQ(result.calib_epoch, 2u);
+  JobService drifted(backend, options);
+  drifted.recalibrate(base);
+  JobHandle queued = drifted.submit(spec);
+  drifted.recalibrate(DriftModel(5).advance(base, 3600.0));
+  drifted.resume();
+  const ExecutionResult stale = queued.result();
+  const ServiceTelemetry t = drifted.telemetry();
+  drifted.shutdown(ShutdownMode::kDrain);
+  EXPECT_EQ(t.calib_epoch, 2u);
   EXPECT_EQ(t.stale_hits, 1u);
+  EXPECT_EQ(stale.calib_epoch, 1u);
+
+  options.start_paused = false;
+  JobService steady(backend, options);
+  steady.recalibrate(base);
+  const ExecutionResult pinned = steady.submit(spec).result();
+  steady.shutdown(ShutdownMode::kDrain);
+  EXPECT_EQ(steady.telemetry().stale_hits, 0u);
+  ASSERT_FALSE(pinned.mitigated.empty());
+  EXPECT_EQ(stale.counts, pinned.counts);
+  EXPECT_EQ(stale.mitigated, pinned.mitigated);
 }
 
 // --- characterization drivers -------------------------------------------

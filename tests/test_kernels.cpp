@@ -693,7 +693,7 @@ TEST(BatchTrajectories, ThreadCountDoesNotChangeAveragedProbabilities) {
 }
 
 // ---------------------------------------------------------------------
-// Dispatch telemetry surfaces through results and the session.
+// Dispatch telemetry surfaces through a session's results.
 // ---------------------------------------------------------------------
 
 TEST(DispatchTelemetry, ResultAndSessionCarryKernelTierCounts) {
@@ -706,8 +706,6 @@ TEST(DispatchTelemetry, ResultAndSessionCarryKernelTierCounts) {
   ExecutionRequest request(c);
   const ExecutionResult result = session.submit(request);
   EXPECT_GT(result.kernel_dispatch.total(), 0u);
-  EXPECT_EQ(session.kernel_dispatch().total(),
-            result.kernel_dispatch.total());
 }
 
 // ---------------------------------------------------------------------
