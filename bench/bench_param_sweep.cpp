@@ -1,7 +1,8 @@
 // Parametric-compilation sweep microbenchmarks (google-benchmark): the
 // bind fast path (transpile/lower once, bind per point) against the
 // rebuild path (materialize a fresh circuit per point) on a QAOA angle
-// sweep, logical and hardware-targeted.
+// sweep, logical and hardware-targeted, plus one hardware bind row under
+// noise, whose bound plans carry channel lists.
 //
 // The CI perf-smoke job runs this binary with --benchmark_format=json and
 // archives BENCH_param_sweep.json; items_per_second is sweep points/sec.
@@ -59,18 +60,27 @@ void report_reuse(benchmark::State& state, const ExecutionSession& session,
       static_cast<double>(session.transpile_cache().misses());
 }
 
-/// One sweep through an ExecutionSession. Bind path: one symbolic
-/// circuit, per-point parameter vectors. Rebuild path: one concrete
-/// circuit built per point (distinct fingerprints, so every point
-/// transpiles and lowers afresh).
+/// Two-site depolarizing plus per-gate loss, as in perfbench's serve-mix:
+/// every routed gate carries noise channels.
+NoiseModel sweep_noise() {
+  NoiseParams p;
+  p.depol_2q = 0.02;
+  p.loss_per_gate = 0.01;
+  return NoiseModel(p);
+}
+
+/// One sweep through an ExecutionSession on `backend`, `shots` per point.
+/// Bind path: one symbolic circuit, per-point parameter vectors. Rebuild
+/// path: one concrete circuit built per point (distinct fingerprints, so
+/// every point transpiles and lowers afresh).
 void run_sweep(benchmark::State& state, bool bind_path,
-               const Processor* device) {
+               const Processor* device, const Backend& backend,
+               std::size_t shots = 0) {
   const std::size_t points = static_cast<std::size_t>(state.range(0));
   const ColoringQaoa qaoa = sweep_instance();
   const std::vector<int> offsets(4, 0);
   const std::vector<double> cost = qaoa.cost_diagonal(offsets);
   const Circuit symbolic = qaoa.parametric_circuit(1, offsets);
-  const StateVectorBackend backend;
 
   SessionOptions options;
   options.threads = 1;  // measure the compile path, not the fan-out
@@ -86,7 +96,7 @@ void run_sweep(benchmark::State& state, bool bind_path,
                                                  offsets);
       ExecutionRequest request(std::move(circuit));
       if (bind_path) request.with_parameters(angles);
-      request.with_observable("cost", cost).with_seed(17);
+      request.with_observable("cost", cost).with_seed(17).with_shots(shots);
       if (device != nullptr) request.with_compilation(*device);
       requests.push_back(std::move(request));
     }
@@ -103,26 +113,36 @@ void run_sweep(benchmark::State& state, bool bind_path,
 }
 
 void BM_QaoaSweep_Bind(benchmark::State& state) {
-  run_sweep(state, /*bind_path=*/true, nullptr);
+  run_sweep(state, /*bind_path=*/true, nullptr, StateVectorBackend());
 }
 BENCHMARK(BM_QaoaSweep_Bind)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 void BM_QaoaSweep_Rebuild(benchmark::State& state) {
-  run_sweep(state, /*bind_path=*/false, nullptr);
+  run_sweep(state, /*bind_path=*/false, nullptr, StateVectorBackend());
 }
 BENCHMARK(BM_QaoaSweep_Rebuild)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 void BM_QaoaSweepHardware_Bind(benchmark::State& state) {
   const Processor device = sweep_device();
-  run_sweep(state, /*bind_path=*/true, &device);
+  run_sweep(state, /*bind_path=*/true, &device, StateVectorBackend());
 }
 BENCHMARK(BM_QaoaSweepHardware_Bind)
     ->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
+/// serve-mix's QAOA job: 8 trajectories per point under sweep_noise().
+void BM_QaoaSweepHardwareNoisy_Bind(benchmark::State& state) {
+  const Processor device = sweep_device();
+  run_sweep(state, /*bind_path=*/true, &device,
+            TrajectoryBackend{sweep_noise()}, /*shots=*/8);
+}
+BENCHMARK(BM_QaoaSweepHardwareNoisy_Bind)
+    ->Arg(1000)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_QaoaSweepHardware_Rebuild(benchmark::State& state) {
   const Processor device = sweep_device();
-  run_sweep(state, /*bind_path=*/false, &device);
+  run_sweep(state, /*bind_path=*/false, &device, StateVectorBackend());
 }
 BENCHMARK(BM_QaoaSweepHardware_Rebuild)
     ->Arg(1000)

@@ -13,21 +13,24 @@
 
 namespace qs {
 
-std::string TranspiledCircuit::summary() const {
+namespace {
+
+std::string format_summary(const TranspiledCircuit& t) {
   std::ostringstream os;
-  os << "transpiled: " << physical.size() << " physical ops ("
-     << swaps_inserted << " routing swaps";
-  if (logical_ops > physical.size() - static_cast<std::size_t>(swaps_inserted))
-    os << ", "
-       << logical_ops -
-              (physical.size() - static_cast<std::size_t>(swaps_inserted))
-       << " ops cancelled";
-  os << "), makespan " << fmt(schedule.makespan * 1e6, 1)
-     << " us, forecast fidelity " << fmt(schedule.total_fidelity, 4)
-     << " (gates " << fmt(schedule.gate_fidelity, 4) << ", idle "
-     << fmt(schedule.idle_fidelity, 4) << ")";
+  os << "transpiled: " << t.physical.size() << " physical ops ("
+     << t.swaps_inserted << " routing swaps";
+  const std::size_t kept =
+      t.physical.size() - static_cast<std::size_t>(t.swaps_inserted);
+  if (t.logical_ops > kept)
+    os << ", " << t.logical_ops - kept << " ops cancelled";
+  os << "), makespan " << fmt(t.schedule.makespan * 1e6, 1)
+     << " us, forecast fidelity " << fmt(t.schedule.total_fidelity, 4)
+     << " (gates " << fmt(t.schedule.gate_fidelity, 4) << ", idle "
+     << fmt(t.schedule.idle_fidelity, 4) << ")";
   return os.str();
 }
+
+}  // namespace
 
 PassManager& PassManager::add(std::unique_ptr<Pass> pass) {
   require(pass != nullptr, "PassManager::add: null pass");
@@ -65,7 +68,8 @@ std::shared_ptr<const TranspiledCircuit> PassManager::run(
       std::move(ctx.working), std::move(ctx.initial_logical_to_mode),
       std::move(ctx.final_logical_to_mode), std::move(ctx.mapping),
       std::move(ctx.schedule), ctx.swaps_inserted, logical.size(), options_,
-      std::move(stats)});
+      std::move(stats), {}});
+  artifact->summary_line = format_summary(*artifact);
   return artifact;
 }
 

@@ -82,7 +82,10 @@ struct TranspiledCircuit {
   std::vector<PassStats> pass_stats;
 
   /// One-line report: physical ops, swaps, makespan, fidelity forecast.
-  std::string summary() const;
+  /// Formatted once by PassManager::run, which finishes the artifact.
+  std::string summary_line;
+
+  const std::string& summary() const { return summary_line; }
 };
 
 /// Mutable state threaded through the pass list. `working` starts as a

@@ -1,5 +1,6 @@
 #include "exec/backend.h"
 
+#include <stdexcept>
 #include <string>
 
 #include "calib/snapshot.h"
@@ -139,9 +140,10 @@ ExecutionResult Backend::execute(const ExecutionRequest& request,
     result.compile_summary = artifacts.transpiled->summary();
   run(request, *plan, result);
   for (const Observable& obs : request.observables) {
-    require(obs.diagonal.size() == result.probabilities.size(),
-            "Backend: observable '" + obs.name +
-                "' length does not match the executed circuit's dimension");
+    if (obs.diagonal.size() != result.probabilities.size())
+      throw std::invalid_argument(
+          "Backend: observable '" + obs.name +
+          "' length does not match the executed circuit's dimension");
     double value = 0.0;
     for (std::size_t i = 0; i < obs.diagonal.size(); ++i)
       value += obs.diagonal[i] * result.probabilities[i];

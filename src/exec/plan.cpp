@@ -1,6 +1,8 @@
 #include "exec/plan.h"
 
 #include <algorithm>
+#include <cstring>
+#include <stdexcept>
 #include <utility>
 
 #include "common/fingerprint.h"
@@ -45,14 +47,47 @@ StepFactor parametric_factor(const Operation& op) {
   return f;
 }
 
+/// One generator's payload at one angle, evaluated within a bind().
+struct EvaluatedPayload {
+  const ParamGenerator* generator;
+  std::uint64_t angle_bits;
+  Matrix dense;
+  std::vector<cplx> diag;
+};
+
+/// The payload of parametric factor `f` under `params`, evaluated on the
+/// first request for its (generator, angle) and reused after. The angle
+/// keys on its bit pattern, not ==: -0.0 == 0.0, but a generator may map
+/// the two to different bits (std::exp(cplx{0.0, -angle}) has imaginary
+/// part -0.0 at +0.0 and +0.0 at -0.0). Generators are pure, so a reused
+/// payload is bitwise what a second call would return. The reference is
+/// valid until the next call.
+const EvaluatedPayload& evaluate(std::vector<EvaluatedPayload>& table,
+                                 const StepFactor& f,
+                                 const std::vector<double>& params) {
+  const double angle = f.expr.evaluate(params);
+  std::uint64_t bits;
+  std::memcpy(&bits, &angle, sizeof(bits));
+  const ParamGenerator* generator = f.generator.get();
+  for (const EvaluatedPayload& e : table)
+    if (e.generator == generator && e.angle_bits == bits) return e;
+  EvaluatedPayload e{generator, bits, {}, {}};
+  if (generator->dense)
+    e.dense = generator->dense(angle);
+  else
+    e.diag = generator->diagonal(angle);
+  table.push_back(std::move(e));
+  return table.back();
+}
+
 }  // namespace
 
 const detail::BlockPlan* CompiledCircuit::pooled_plan(
     const std::vector<int>& sites) {
-  auto it = plan_pool_->find(sites);
-  if (it == plan_pool_->end())
-    it = plan_pool_->emplace(sites, detail::make_block_plan(space_, sites))
-             .first;
+  auto& plans = storage_->plans;
+  auto it = plans.find(sites);
+  if (it == plans.end())
+    it = plans.emplace(sites, detail::make_block_plan(space_, sites)).first;
   if (it->second.block > max_block_) max_block_ = it->second.block;
   return &it->second;
 }
@@ -60,8 +95,7 @@ const detail::BlockPlan* CompiledCircuit::pooled_plan(
 CompiledCircuit::CompiledCircuit(const Circuit& circuit,
                                  const NoiseModel& noise, PlanOptions options)
     : space_(circuit.space()),
-      plan_pool_(
-          std::make_shared<std::map<std::vector<int>, detail::BlockPlan>>()),
+      storage_(std::make_shared<Storage>()),
       num_parameters_(circuit.num_parameters()),
       bound_parameters_(circuit.parameter_values()) {
   const bool trivial_noise = noise.is_trivial();
@@ -137,6 +171,11 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
       if (op.parametric()) start_chain(parametric_factor(op));
     }
 
+    if (raw_channels.empty()) continue;
+    // `last` carries no channels yet: a step that does is never fused
+    // into, so every operation with noise ends its step here.
+    std::vector<CompiledChannel>& list = storage_->channels.emplace_back();
+    list.reserve(raw_channels.size());
     for (ChannelOp& ch : raw_channels) {
       CompiledChannel compiled;
       compiled.kraus.reserve(ch.kraus.size());
@@ -144,9 +183,10 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
         compiled.kraus.push_back(kernels::OpKernel::analyze(k));
       compiled.plan = pooled_plan(ch.sites);
       compiled.sites = std::move(ch.sites);
-      last->channels.push_back(std::move(compiled));
-      ++total_channels_;
+      list.push_back(std::move(compiled));
     }
+    last->channels = {list.data(), list.data() + list.size()};
+    total_channels_ += list.size();
   }
 
   if (!bindings.empty())
@@ -157,16 +197,19 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
 std::shared_ptr<const CompiledCircuit> CompiledCircuit::bind(
     const std::vector<double>& params) const {
   require(parametric(), "CompiledCircuit::bind: plan has no parametric steps");
-  require(params.size() == num_parameters_,
-          "CompiledCircuit::bind: expected " +
-              std::to_string(num_parameters_) + " parameter(s), got " +
-              std::to_string(params.size()));
-  // Shell copy: shares the plan pool, channel kernels, and every
-  // parameter-independent step; only the recipes below touch payloads.
+  if (params.size() != num_parameters_)
+    throw std::invalid_argument("CompiledCircuit::bind: expected " +
+                                std::to_string(num_parameters_) +
+                                " parameter(s), got " +
+                                std::to_string(params.size()));
+  // Shell copy: the storage (BlockPlans, channel lists) and the recipes
+  // are shared, one shared_ptr copy each. The copy allocates its step
+  // array, each step's sites and gate payload (channel lists are views),
+  // and below, the parametric steps' rebound payloads.
   std::shared_ptr<CompiledCircuit> bound(new CompiledCircuit());
   bound->space_ = space_;
   bound->steps_ = steps_;
-  bound->plan_pool_ = plan_pool_;
+  bound->storage_ = storage_;
   bound->bindings_ = bindings_;
   bound->num_parameters_ = num_parameters_;
   bound->bound_parameters_ = params;
@@ -174,6 +217,9 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::bind(
   bound->total_channels_ = total_channels_;
   bound->max_block_ = max_block_;
 
+  // The QAOA mixer repeats one generator at one angle on every site:
+  // each distinct (generator, angle) is evaluated once per bind.
+  std::vector<EvaluatedPayload> evaluated;
   for (const StepBinding& b : *bindings_) {
     CompiledStep& step = bound->steps_[b.step];
     if (step.kind == CompiledStep::Kind::kDense) {
@@ -181,29 +227,26 @@ std::shared_ptr<const CompiledCircuit> CompiledCircuit::bind(
       Matrix dense;
       bool first = true;
       for (const StepFactor& f : b.factors) {
-        Matrix payload =
-            f.parametric ? f.generator->dense(f.expr.evaluate(params))
-                         : f.dense;
-        dense = first ? std::move(payload) : payload * dense;
+        const Matrix& payload =
+            f.parametric ? evaluate(evaluated, f, params).dense : f.dense;
+        dense = first ? payload : payload * dense;
         first = false;
       }
       step.op = kernels::OpKernel::analyze(dense);
     } else {
-      std::vector<cplx> diag;
+      std::vector<cplx>& diag = step.diag;
       bool first = true;
       for (const StepFactor& f : b.factors) {
-        std::vector<cplx> payload =
-            f.parametric ? f.generator->diagonal(f.expr.evaluate(params))
-                         : f.diag;
+        const std::vector<cplx>& payload =
+            f.parametric ? evaluate(evaluated, f, params).diag : f.diag;
         if (first) {
-          diag = std::move(payload);
+          diag = payload;
           first = false;
         } else {
           for (std::size_t i = 0; i < diag.size(); ++i)
             diag[i] *= payload[i];
         }
       }
-      step.diag = std::move(diag);
     }
   }
   return bound;

@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -69,6 +70,19 @@ struct CompiledChannel {
   const detail::BlockPlan* plan = nullptr;  ///< owned by the CompiledCircuit
 };
 
+/// Read-only view of one step's channel list. The list itself lives in
+/// storage the structural plan owns and every bound copy shares, so
+/// copying a step copies two pointers, not its Kraus kernels.
+struct ChannelList {
+  const CompiledChannel* first = nullptr;
+  const CompiledChannel* last = nullptr;
+
+  const CompiledChannel* begin() const { return first; }
+  const CompiledChannel* end() const { return last; }
+  std::size_t size() const { return static_cast<std::size_t>(last - first); }
+  bool empty() const { return first == last; }
+};
+
 /// One lowered execution step: a gate (possibly standing for several fused
 /// source operations) plus the noise channels that follow it.
 struct CompiledStep {
@@ -78,7 +92,10 @@ struct CompiledStep {
   std::vector<cplx> diag;  ///< diagonal entries (kind == kDiagonal)
   std::vector<int> sites;
   const detail::BlockPlan* plan = nullptr;  ///< owned by the CompiledCircuit
-  std::vector<CompiledChannel> channels;    ///< post-gate noise, in order
+  /// Post-gate noise, in order. Lowering emits a step's list at most once
+  /// (fusion never extends a step that carries channels) and freezes it in
+  /// the structural plan's storage; bound copies view the same list.
+  ChannelList channels;
   std::size_t source_ops = 1;  ///< circuit operations this step stands for
 };
 
@@ -143,10 +160,13 @@ class CompiledCircuit {
     return bound_parameters_;
   }
 
-  /// A plan executing this structure at `params`: shares the BlockPlans,
-  /// channel set, and every parameter-independent step with this plan;
-  /// only parametric steps are re-materialized. O(steps) + the parametric
-  /// payload evaluations -- no circuit walk, no re-fusion, no channel
+  /// A plan executing this structure at `params`. The bound copy shares
+  /// this plan's storage (BlockPlans and channel lists) and rebind
+  /// recipes; it allocates only its step array, whose parameter-independent
+  /// steps copy their gate payloads, and the payloads of its parametric
+  /// steps. Each distinct (generator, angle) is evaluated once per call, so
+  /// a generator repeated across sites at one angle runs once. O(steps) +
+  /// those evaluations -- no circuit walk, no re-fusion, no channel
   /// resolution. Requires parametric(); non-parametric plans are shared
   /// as-is by callers.
   std::shared_ptr<const CompiledCircuit> bind(
@@ -206,12 +226,20 @@ class CompiledCircuit {
 
   const detail::BlockPlan* pooled_plan(const std::vector<int>& sites);
 
+  /// What the steps point into, built once by lowering and shared (not
+  /// re-derived or copied) by every bound copy through one shared_ptr.
+  struct Storage {
+    /// Plans deduplicated by site list; a node-based map keeps them at
+    /// stable addresses for the steps' raw pointers.
+    std::map<std::vector<int>, detail::BlockPlan> plans;
+    /// One frozen list per step that carries noise; a deque never moves
+    /// its elements, so the steps' views stay valid as lists are added.
+    std::deque<std::vector<CompiledChannel>> channels;
+  };
+
   QuditSpace space_;
   std::vector<CompiledStep> steps_;
-  /// Plans deduplicated by site list; node-based map keeps them at stable
-  /// addresses for the steps' raw pointers, and the shared_ptr keeps them
-  /// alive (and shared, not re-derived) across every bound copy.
-  std::shared_ptr<std::map<std::vector<int>, detail::BlockPlan>> plan_pool_;
+  std::shared_ptr<Storage> storage_;
   /// Rebind recipes, shared across bound copies (value-independent by
   /// construction: constant factors snapshot only non-parametric payload).
   std::shared_ptr<const std::vector<StepBinding>> bindings_;

@@ -1,5 +1,8 @@
 #include "exec/request.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "common/require.h"
 
 namespace qs {
@@ -19,10 +22,11 @@ const std::vector<double>& effective_parameters(
   require(!params.empty(),
           "ExecutionRequest: parametric circuit without a binding; supply "
           "with_parameters() or execute a Circuit::bind() result");
-  require(params.size() == request.circuit.num_parameters(),
-          "ExecutionRequest: expected " +
-              std::to_string(request.circuit.num_parameters()) +
-              " parameter(s), got " + std::to_string(params.size()));
+  if (params.size() != request.circuit.num_parameters())
+    throw std::invalid_argument(
+        "ExecutionRequest: expected " +
+        std::to_string(request.circuit.num_parameters()) +
+        " parameter(s), got " + std::to_string(params.size()));
   return params;
 }
 

@@ -532,17 +532,6 @@ namespace {
 constexpr std::size_t kW = StateBatch::kLanes;
 static_assert(kW == 8, "batch kernels unroll two v4d vectors per lane row");
 
-/// Counts one batched sweep of a `block`-sized operator in its tier.
-inline void count_batched(std::size_t block, DispatchCounts& dispatch) {
-  ++dispatch.batched;
-  if (specialized_block(block))
-    ++dispatch.specialized;
-  else if (block <= kMaxSimdBlock)
-    ++dispatch.generic;
-  else
-    ++dispatch.scalar;
-}
-
 /// One amplitude row across every lane: lanes 0-3 in r0/i0, 4-7 in r1/i1.
 struct LaneRow {
   v4d r0, r1, i0, i1;
@@ -642,7 +631,7 @@ inline void for_each_op_block(const OpKernel& op,
 void batch_apply(const OpKernel& op, const detail::BlockPlan& plan,
                  StateBatch& batch, Scratch& scratch) {
   const std::size_t block = plan.block;
-  count_batched(block, scratch.dispatch);
+  ++scratch.dispatch.batched;
   double* re = batch.re();
   double* im = batch.im();
   const std::size_t* offsets = plan.offsets.data();
@@ -660,7 +649,7 @@ void batch_apply_diagonal(const cplx* diag, const detail::BlockPlan& plan,
   double* re = batch.re();
   double* im = batch.im();
   const std::size_t* offsets = plan.offsets.data();
-  count_batched(block, scratch.dispatch);
+  ++scratch.dispatch.batched;
   for (std::size_t base : plan.bases) {
     for (std::size_t a = 0; a < block; ++a) {
       const v4d drv = vbroadcast(diag[a].real());
@@ -764,7 +753,7 @@ void batch_branch_weights(const OpKernel& k, const detail::BlockPlan& plan,
                           const StateBatch& batch, Scratch& scratch,
                           double* w) {
   const std::size_t block = plan.block;
-  count_batched(block, scratch.dispatch);
+  ++scratch.dispatch.batched;
   v4d w0 = vbroadcast(0.0), w1 = vbroadcast(0.0);
   for_each_op_block(
       k, plan, batch, scratch,
@@ -788,7 +777,7 @@ void batch_apply_scaled(const OpKernel& k, const detail::BlockPlan& plan,
                         StateBatch& batch, const double* scale,
                         const std::uint64_t* mask, Scratch& scratch) {
   const std::size_t block = plan.block;
-  count_batched(block, scratch.dispatch);
+  ++scratch.dispatch.batched;
   const v4d s0 = vload(scale), s1 = vload(scale + 4);
   const v4u m0 = vload_mask(mask), m1 = vload_mask(mask + 4);
   double* re = batch.re();

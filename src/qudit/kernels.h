@@ -19,8 +19,8 @@
 //   |  (trajectories)       |  batch_sample_channel      |                  |
 //   | observable contract   | expectation_dense          | offsets table    |
 //
-// Each shape additionally dispatches across three SIMD tiers (recorded in
-// Scratch::dispatch):
+// Each single-state shape additionally dispatches across three SIMD tiers
+// (recorded in Scratch::dispatch):
 //
 //   | tier        | when                                                    |
 //   |-------------|---------------------------------------------------------|
@@ -53,6 +53,9 @@
 // states in structure-of-arrays planes (split re/im, lane-minor), and the
 // batch_* kernels apply one plan step across every lane before advancing,
 // so operator rows are loaded once per batch instead of once per shot.
+// They have one code path for every block size (the lanes are the
+// vector), so Scratch::dispatch counts their sweeps under `batched` only,
+// never under a tier.
 //
 // All kernels are thread-compatible: they touch only the spans and scratch
 // they are handed, so one immutable BlockPlan can serve many threads as
@@ -96,6 +99,8 @@ inline double abs2(const cplx& z) { return abs2(z.real(), z.imag()); }
 /// Kernel invocations per dispatch tier (one count per apply over a full
 /// span, not per block). Accumulated locally in Scratch -- no globals, no
 /// atomics -- then surfaced through ExecutionResult into serve telemetry.
+/// A sweep counts once: single-state sweeps in their tier, batch_* sweeps
+/// under `batched` alone.
 struct DispatchCounts {
   std::uint64_t specialized = 0;  ///< compile-time block SIMD
   std::uint64_t generic = 0;      ///< runtime-block SIMD
@@ -109,6 +114,7 @@ struct DispatchCounts {
     batched += o.batched;
     return *this;
   }
+  /// Single-state sweeps; batched sweeps are counted apart.
   std::uint64_t total() const { return specialized + generic + scalar; }
 };
 

@@ -12,7 +12,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -345,6 +347,169 @@ TEST(ParametricPlan, NoisyTrajectoryBindMatchesRebuildExactly) {
     expect_amplitudes_eq(via_rebuild, via_bind);
     EXPECT_EQ(bind_rng.draw_seed(), rebuild_rng.draw_seed());
   }
+}
+
+/// Bit-for-bit equality of complex entries (EXPECT_EQ on cplx accepts
+/// -0.0 for +0.0).
+void expect_bits_eq(const cplx* want, const cplx* got, std::size_t n,
+                    const std::string& what) {
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_EQ(std::memcmp(&want[i], &got[i], sizeof(cplx)), 0)
+        << what << " entry " << i << ": " << want[i] << " vs " << got[i];
+}
+
+/// exp(-i angle k) on the k-th level, spelled as the CK generator spells
+/// its phases: at angle +0.0 the imaginary parts read -0.0, at -0.0 they
+/// read +0.0.
+std::vector<cplx> level_phases(double angle, int d) {
+  std::vector<cplx> diag(static_cast<std::size_t>(d));
+  for (int k = 0; k < d; ++k)
+    diag[static_cast<std::size_t>(k)] =
+        std::exp(cplx{0.0, -angle * static_cast<double>(k)});
+  return diag;
+}
+
+TEST(ParametricPlan, RepeatedGeneratorsBindBitwiseUnderNoise) {
+  // bind() evaluates each (generator, angle) once and reuses the payload
+  // across operations. That reuse must be invisible: one dense and one
+  // diagonal generator each serve several sites (some fused behind a
+  // constant gate), a second generator object carries the first one's
+  // tag, and two slots feed one generator +0.0 and -0.0, which compare
+  // equal but yield different payload bits.
+  const QuditSpace space(std::vector<int>{3, 3, 3});
+  Rng rng(15000);
+  const Matrix u = random_unitary(3, rng);
+  const Matrix h = u + u.adjoint();
+  const auto rot = make_dense_generator(0xfeed0001, [h](double angle) {
+    return expm_hermitian(h, cplx{0.0, -angle});
+  });
+  const auto phase = make_diagonal_generator(
+      0xfeed0002, [](double angle) { return level_phases(angle, 3); });
+  const auto phase_twin = make_diagonal_generator(
+      0xfeed0002, [](double angle) { return level_phases(angle, 3); });
+  const ParamExpr beta{0, 1.0, 0.0};
+  const ParamExpr gamma{1, 0.5, 0.0};
+  // Offset -0.0 keeps a -0.0 slot at -0.0 (p + 0.0 would make it +0.0).
+  const ParamExpr plus_zero{2, 1.0, -0.0};
+  const ParamExpr minus_zero{3, 1.0, -0.0};
+
+  Circuit symbolic(space);
+  symbolic.add("F", fourier(3), {0});
+  symbolic.add_parametric("ROT", rot, beta, {0});  // fuses behind F
+  symbolic.add_parametric("ROT", rot, beta, {1});
+  symbolic.add("U", random_unitary(3, rng), {1});  // fuses behind ROT
+  symbolic.add("CSUM", csum(3, 3), {0, 1});
+  symbolic.add_diagonal("P", random_phase_diag(3, rng), {2});
+  symbolic.add_parametric("PH", phase, gamma, {2});  // fuses behind P
+  symbolic.add_parametric("PH", phase, gamma, {0});
+  symbolic.add_parametric("PH", phase_twin, gamma, {1});
+  symbolic.add_parametric("PH", phase, plus_zero, {2});
+  symbolic.add_parametric("PH", phase, minus_zero, {1});
+  symbolic.add("CSUM", csum(3, 3), {1, 2});
+  const std::vector<double> params{0.7, -1.3, 0.0, -0.0};
+
+  // mixed_noise() puts channels after every gate, so nothing fuses; with
+  // two-site depolarizing alone the three one-site chains above do.
+  NoiseParams two_site;
+  two_site.depol_2q = 0.05;
+  struct Case {
+    NoiseModel noise;
+    std::size_t fused;
+  };
+  for (const Case& c : {Case{mixed_noise(), 0}, Case{NoiseModel(two_site), 3}}) {
+    const NoiseModel& noise = c.noise;
+    for (const bool fuse : {false, true}) {
+      const PlanOptions options = fuse ? PlanOptions{} : PlanOptions::none();
+      const CompiledCircuit plan(symbolic, noise, options);
+      EXPECT_EQ(plan.fused_operations(), fuse ? c.fused : 0u);
+      const auto bound = plan.bind(params);
+      const CompiledCircuit rebuilt(symbolic.bind(params), noise, options);
+
+      ASSERT_EQ(bound->steps().size(), rebuilt.steps().size());
+      for (std::size_t i = 0; i < rebuilt.steps().size(); ++i) {
+        const CompiledStep& want = rebuilt.steps()[i];
+        const CompiledStep& got = bound->steps()[i];
+        const std::string what = "step " + std::to_string(i);
+        ASSERT_EQ(got.kind, want.kind) << what;
+        ASSERT_EQ(got.channels.size(), want.channels.size()) << what;
+        if (want.kind == CompiledStep::Kind::kDiagonal) {
+          ASSERT_EQ(got.diag.size(), want.diag.size()) << what;
+          expect_bits_eq(want.diag.data(), got.diag.data(), want.diag.size(),
+                         what);
+        } else {
+          EXPECT_EQ(got.op.kind, want.op.kind) << what;
+          ASSERT_EQ(got.op.block, want.op.block) << what;
+          expect_bits_eq(want.op.dense.data(), got.op.dense.data(),
+                         want.op.block * want.op.block, what);
+        }
+      }
+
+      for (std::uint64_t seed : {600u, 601u, 602u}) {
+        Rng bind_rng(seed), rebuild_rng(seed);
+        StateVector via_bind(space);
+        StateVector via_rebuild(space);
+        kernels::Scratch scratch;
+        bound->run_trajectory(via_bind, bind_rng, scratch);
+        rebuilt.run_trajectory(via_rebuild, rebuild_rng, scratch);
+        expect_bits_eq(via_rebuild.amplitudes().data(),
+                       via_bind.amplitudes().data(), space.dimension(),
+                       "amplitude");
+        EXPECT_EQ(bind_rng.draw_seed(), rebuild_rng.draw_seed());
+      }
+    }
+  }
+}
+
+TEST(ParametricPlan, BindSharesStorageAndEvaluatesEachAngleOnce) {
+  // A bound plan views the structural plan's channel lists and BlockPlans
+  // instead of copying them, and calls each generator once per distinct
+  // angle however many operations it serves.
+  const QuditSpace space(std::vector<int>{3, 3});
+  Rng rng(16000);
+  const Matrix u = random_unitary(3, rng);
+  const Matrix h = u + u.adjoint();
+  int dense_calls = 0;
+  int diagonal_calls = 0;
+  const auto rot =
+      make_dense_generator(0xfeed0003, [h, &dense_calls](double angle) {
+        ++dense_calls;
+        return expm_hermitian(h, cplx{0.0, -angle});
+      });
+  const auto phase =
+      make_diagonal_generator(0xfeed0004, [&diagonal_calls](double angle) {
+        ++diagonal_calls;
+        return level_phases(angle, 3);
+      });
+  Circuit symbolic(space);
+  symbolic.add_parametric("ROT", rot, ParamExpr{0, 1.0, 0.0}, {0});
+  symbolic.add_parametric("ROT", rot, ParamExpr{0, 1.0, 0.0}, {1});
+  symbolic.add_parametric("ROT", rot, ParamExpr{1, 1.0, 0.0}, {0});
+  symbolic.add("CSUM", csum(3, 3), {0, 1});
+  symbolic.add_parametric("PH", phase, ParamExpr{1, 1.0, 0.0}, {0});
+  symbolic.add_parametric("PH", phase, ParamExpr{1, 1.0, 0.0}, {1});
+  const CompiledCircuit plan(symbolic, mixed_noise());
+
+  dense_calls = diagonal_calls = 0;
+  const auto bound = plan.bind({0.4, 0.9});
+  EXPECT_EQ(dense_calls, 2);  // angles 0.4 and 0.9
+  EXPECT_EQ(diagonal_calls, 1);
+  ASSERT_EQ(bound->steps().size(), plan.steps().size());
+  for (std::size_t i = 0; i < plan.steps().size(); ++i) {
+    const CompiledStep& shared = plan.steps()[i];
+    const CompiledStep& step = bound->steps()[i];
+    EXPECT_EQ(step.plan, shared.plan) << "step " << i;
+    ASSERT_FALSE(shared.channels.empty()) << "step " << i;
+    ASSERT_EQ(step.channels.size(), shared.channels.size()) << "step " << i;
+    EXPECT_EQ(&*step.channels.begin(), &*shared.channels.begin())
+        << "step " << i;
+  }
+
+  // The table lives in one call: the next bind evaluates afresh, and
+  // equal angles in two slots share one evaluation.
+  dense_calls = diagonal_calls = 0;
+  plan.bind({0.4, 0.4});
+  EXPECT_EQ(dense_calls, 1);
+  EXPECT_EQ(diagonal_calls, 1);
 }
 
 TEST(ParametricPlan, RebindRecipesAreValueIndependent) {
