@@ -95,7 +95,7 @@ struct ExecutionRequest {
   /// Trace identity (tracer + job id + tenant) attributing the spans
   /// this request generates in the exec/compiler layers to its
   /// serve-layer job. Inactive by default: standalone exec users pay
-  /// nothing (POD copy, no allocation, one relaxed load per site).
+  /// nothing (POD copy, no allocation, one null check per site).
   obs::TraceContext trace;
 
   ExecutionRequest& with_shots(std::size_t n) {

@@ -37,9 +37,9 @@ Matrix circuit_unitary(const Circuit& circuit, std::size_t max_dim) {
   return u;
 }
 
-void StateVectorBackend::run(const ExecutionRequest& request,
-                             const CompiledCircuit& plan,
-                             ExecutionResult& result) const {
+void run_pure_state(const ExecutionRequest& request,
+                    const CompiledCircuit& plan, std::uint64_t sampler_seed,
+                    ExecutionResult& result) {
   StateVector psi = request.initial_digits.empty()
                         ? StateVector(plan.space())
                         : StateVector(plan.space(), request.initial_digits);
@@ -53,10 +53,16 @@ void StateVectorBackend::run(const ExecutionRequest& request,
   for (const cplx& a : psi.amplitudes())
     result.probabilities.push_back(std::norm(a));
   if (request.shots > 0) {
-    Rng rng(result.seed);
+    Rng rng(sampler_seed);
     result.counts = psi.sample_counts(request.shots, rng);
     result.shots = request.shots;
   }
+}
+
+void StateVectorBackend::run(const ExecutionRequest& request,
+                             const CompiledCircuit& plan,
+                             ExecutionResult& result) const {
+  run_pure_state(request, plan, result.seed, result);
 }
 
 }  // namespace qs

@@ -3,6 +3,7 @@
 #define QS_EXEC_STATE_VECTOR_BACKEND_H
 
 #include <cstddef>
+#include <cstdint>
 
 #include "exec/backend.h"
 #include "linalg/matrix.h"
@@ -27,6 +28,13 @@ class StateVectorBackend final : public Backend {
   void run(const ExecutionRequest& request, const CompiledCircuit& plan,
            ExecutionResult& result) const override;
 };
+
+/// The noiseless run both pure-state backends share. Shots are sampled with
+/// `sampler_seed`: `result.seed` for StateVectorBackend,
+/// `split_seed(result.seed, 0)` for a noiseless TrajectoryBackend.
+void run_pure_state(const ExecutionRequest& request,
+                    const CompiledCircuit& plan, std::uint64_t sampler_seed,
+                    ExecutionResult& result);
 
 /// Builds the full-space unitary of a circuit (for small spaces only;
 /// dimension is validated against `max_dim` to catch accidents). A

@@ -1,7 +1,6 @@
 #include "exec/trajectory_backend.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/require.h"
@@ -45,107 +44,91 @@ void TrajectoryBackend::apply(const Circuit& circuit, StateVector& psi,
 void TrajectoryBackend::run(const ExecutionRequest& request,
                             const CompiledCircuit& plan,
                             ExecutionResult& result) const {
-  const QuditSpace& space = plan.space();
-  const std::size_t dim = space.dimension();
-
   if (!plan.noisy()) {
     // Pure evolution: one deterministic run, multinomial readout.
-    StateVector psi = request.initial_digits.empty()
-                          ? StateVector(space)
-                          : StateVector(space, request.initial_digits);
+    run_pure_state(request, plan, split_seed(result.seed, 0), result);
+    return;
+  }
+
+  const QuditSpace& space = plan.space();
+  const std::size_t dim = space.dimension();
+  const std::size_t total =
+      request.shots > 0 ? request.shots
+                        : std::max<std::size_t>(request.trajectories, 1);
+  const std::size_t block = block_size_for(total);
+  const std::size_t blocks = (total + block - 1) / block;
+  // Exact per-trajectory populations are only accumulated when someone
+  // consumes them (shots == 0, or observables to evaluate); a pure
+  // counts request skips that work and estimates populations from the
+  // histogram instead.
+  const bool want_exact_probs =
+      request.shots == 0 || !request.observables.empty();
+  std::vector<std::vector<double>> block_probs(
+      blocks, std::vector<double>(want_exact_probs ? dim : 0, 0.0));
+  std::vector<std::vector<std::size_t>> block_counts(blocks);
+  if (request.shots > 0)
+    for (auto& c : block_counts) c.assign(dim, 0);
+
+  // One immutable plan shared by every worker; each block owns its
+  // scratch arena and one SoA batch reused across its trajectories.
+  // Trajectories run kLanes at a time: each plan step is applied across
+  // the whole sub-batch before advancing, with per-lane RNG streams
+  // (split_seed by absolute trajectory index) consumed exactly as the
+  // per-shot path would, so results are bitwise-independent of the
+  // batching.
+  const std::size_t initial_index =
+      request.initial_digits.empty() ? 0
+                                     : space.index_of(request.initial_digits);
+  std::vector<kernels::DispatchCounts> block_dispatch(blocks);
+  parallel_for(blocks, threads_, [&](std::size_t b) {
+    constexpr std::size_t kW = kernels::StateBatch::kLanes;
+    const std::size_t begin = b * block;
+    const std::size_t end = std::min(begin + block, total);
     kernels::Scratch scratch;
     scratch.reserve_block(plan.max_block());
-    plan.run_pure(psi, scratch);
-    result.kernel_dispatch = scratch.dispatch;
-    result.trajectories = 1;
-    result.probabilities.reserve(dim);
-    for (const cplx& a : psi.amplitudes())
-      result.probabilities.push_back(std::norm(a));
-    if (request.shots > 0) {
-      Rng rng(split_seed(result.seed, 0));
-      result.counts = psi.sample_counts(request.shots, rng);
-      result.shots = request.shots;
-    }
-  } else {
-    const std::size_t total = request.shots > 0
-                                  ? request.shots
-                                  : std::max<std::size_t>(request.trajectories,
-                                                          1);
-    const std::size_t block = block_size_for(total);
-    const std::size_t blocks = (total + block - 1) / block;
-    // Exact per-trajectory populations are only accumulated when someone
-    // consumes them (shots == 0, or observables to evaluate); a pure
-    // counts request skips that work and estimates populations from the
-    // histogram instead.
-    const bool want_exact_probs =
-        request.shots == 0 || !request.observables.empty();
-    std::vector<std::vector<double>> block_probs(
-        blocks, std::vector<double>(want_exact_probs ? dim : 0, 0.0));
-    std::vector<std::vector<std::size_t>> block_counts(blocks);
-    if (request.shots > 0)
-      for (auto& c : block_counts) c.assign(dim, 0);
-
-    // One immutable plan shared by every worker; each block owns its
-    // scratch arena and one SoA batch reused across its trajectories.
-    // Trajectories run kLanes at a time: each plan step is applied across
-    // the whole sub-batch before advancing, with per-lane RNG streams
-    // (split_seed by absolute trajectory index) consumed exactly as the
-    // per-shot path would, so results are bitwise-independent of the
-    // batching.
-    const std::size_t initial_index =
-        request.initial_digits.empty() ? 0
-                                       : space.index_of(request.initial_digits);
-    std::vector<kernels::DispatchCounts> block_dispatch(blocks);
-    parallel_for(blocks, threads_, [&](std::size_t b) {
-      constexpr std::size_t kW = kernels::StateBatch::kLanes;
-      const std::size_t begin = b * block;
-      const std::size_t end = std::min(begin + block, total);
-      kernels::Scratch scratch;
-      scratch.reserve_block(plan.max_block());
-      kernels::StateBatch batch;
-      batch.configure(dim);
-      Rng rngs[kW];
-      for (std::size_t t = begin; t < end; t += kW) {
-        const std::size_t lanes = std::min(kW, end - t);
-        for (std::size_t k = 0; k < lanes; ++k)
-          rngs[k] = Rng(split_seed(result.seed, t + k));
-        batch.reset(initial_index);
-        plan.run_trajectory_batch(batch, rngs, lanes, scratch);
-        for (std::size_t k = 0; k < lanes; ++k) {
-          if (want_exact_probs)
-            for (std::size_t i = 0; i < dim; ++i)
-              block_probs[b][i] += batch.lane_abs2(i, k);
-          if (request.shots > 0)
-            ++block_counts[b][batch.lane_sample_index(k, rngs[k].uniform())];
-        }
+    kernels::StateBatch batch;
+    batch.configure(dim);
+    Rng rngs[kW];
+    for (std::size_t t = begin; t < end; t += kW) {
+      const std::size_t lanes = std::min(kW, end - t);
+      for (std::size_t k = 0; k < lanes; ++k)
+        rngs[k] = Rng(split_seed(result.seed, t + k));
+      batch.reset(initial_index);
+      plan.run_trajectory_batch(batch, rngs, lanes, scratch);
+      for (std::size_t k = 0; k < lanes; ++k) {
+        if (want_exact_probs)
+          for (std::size_t i = 0; i < dim; ++i)
+            block_probs[b][i] += batch.lane_abs2(i, k);
+        if (request.shots > 0)
+          ++block_counts[b][batch.lane_sample_index(k, rngs[k].uniform())];
       }
-      block_dispatch[b] = scratch.dispatch;
-    });
-    for (std::size_t b = 0; b < blocks; ++b)
-      result.kernel_dispatch += block_dispatch[b];
+    }
+    block_dispatch[b] = scratch.dispatch;
+  });
+  for (std::size_t b = 0; b < blocks; ++b)
+    result.kernel_dispatch += block_dispatch[b];
 
-    // Block-ordered reduction: deterministic for any thread count.
-    result.trajectories = total;
-    if (request.shots > 0) {
-      result.counts.assign(dim, 0);
-      for (std::size_t b = 0; b < blocks; ++b)
-        for (std::size_t i = 0; i < dim; ++i)
-          result.counts[i] += block_counts[b][i];
-      result.shots = request.shots;
-    }
-    if (want_exact_probs) {
-      result.probabilities.assign(dim, 0.0);
-      for (std::size_t b = 0; b < blocks; ++b)
-        for (std::size_t i = 0; i < dim; ++i)
-          result.probabilities[i] += block_probs[b][i];
-      for (double& p : result.probabilities)
-        p /= static_cast<double>(total);
-    } else {
-      result.probabilities.reserve(dim);
+  // Block-ordered reduction: deterministic for any thread count.
+  result.trajectories = total;
+  if (request.shots > 0) {
+    result.counts.assign(dim, 0);
+    for (std::size_t b = 0; b < blocks; ++b)
       for (std::size_t i = 0; i < dim; ++i)
-        result.probabilities.push_back(static_cast<double>(result.counts[i]) /
-                                       static_cast<double>(total));
-    }
+        result.counts[i] += block_counts[b][i];
+    result.shots = request.shots;
+  }
+  if (want_exact_probs) {
+    result.probabilities.assign(dim, 0.0);
+    for (std::size_t b = 0; b < blocks; ++b)
+      for (std::size_t i = 0; i < dim; ++i)
+        result.probabilities[i] += block_probs[b][i];
+    for (double& p : result.probabilities)
+      p /= static_cast<double>(total);
+  } else {
+    result.probabilities.reserve(dim);
+    for (std::size_t i = 0; i < dim; ++i)
+      result.probabilities.push_back(static_cast<double>(result.counts[i]) /
+                                     static_cast<double>(total));
   }
 }
 

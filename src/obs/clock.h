@@ -29,6 +29,20 @@ using TimeBase = std::chrono::steady_clock;  // lint:allow(clock): wrapper home 
 using TimePoint = TimeBase::time_point;
 using Duration = TimeBase::duration;
 
+/// Longest span of seconds a deadline, TTL or clock step may take: 1e9 s
+/// (~31.7 years), far enough inside int64 nanoseconds (~9.2e9 s) that
+/// `now + d` stays representable. Inputs are checked where they enter the
+/// program with `s <= kMaxSeconds`, which NaN and +inf fail.
+inline constexpr double kMaxSeconds = 1e9;
+
+/// The one seconds-to-Duration conversion: zero for s <= 0 or NaN, and
+/// saturating at kMaxSeconds, so no double overflows the count.
+inline Duration to_duration(double seconds) {
+  if (!(seconds > 0.0)) return Duration::zero();
+  const double s = seconds < kMaxSeconds ? seconds : kMaxSeconds;
+  return std::chrono::duration_cast<Duration>(std::chrono::duration<double>(s));
+}
+
 /// Abstract monotonic time source. Implementations must be
 /// thread-safe and monotonic: `now()` never decreases.
 class Clock {
@@ -77,10 +91,7 @@ class ManualClock final : public Clock {
     advance(std::chrono::duration_cast<Duration>(std::chrono::nanoseconds(ns)));
   }
 
-  void advance_seconds(double s) {
-    advance(std::chrono::duration_cast<Duration>(
-        std::chrono::duration<double>(s < 0 ? 0.0 : s)));
-  }
+  void advance_seconds(double s) { advance(to_duration(s)); }
 
  private:
   mutable Mutex mutex_;  ///< Leaf lock: nothing is acquired under it.

@@ -101,7 +101,7 @@ Tracer::Shard& Tracer::shard_for_current_thread() const {
 }
 
 SpanTimer Tracer::span(Phase phase, std::uint64_t job, const char* tenant) {
-  if (!enabled()) return SpanTimer();  // disarmed: no clock read, no lock
+  if (!enabled_.load(std::memory_order_relaxed)) return SpanTimer();
   Span span;
   span.phase = phase;
   span.job = job;
@@ -122,7 +122,7 @@ Span Tracer::make(Phase phase, std::uint64_t job, const char* tenant,
 }
 
 void Tracer::record(const Span& span) {
-  if (!enabled()) return;
+  if (!enabled_.load(std::memory_order_relaxed)) return;
   Shard& shard = shard_for_current_thread();
   MutexLock lock(shard.mutex);
   shard.ring[shard.next % capacity_per_shard_] = span;

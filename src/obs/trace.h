@@ -8,9 +8,10 @@
 // long-running service keeps the most recent `capacity` spans per
 // shard instead of growing without bound.
 //
-// Disabled tracing is free by construction: `Tracer::span()` checks one
-// relaxed atomic and returns a disarmed SpanTimer -- no clock read, no
-// lock, no allocation. Callers therefore leave instrumentation in
+// Tracing off is free by construction: with no tracer each instrumented
+// site is one null check, and a tracer paused with set_enabled(false)
+// costs one relaxed load and returns a disarmed SpanTimer -- no clock
+// read, no lock, no allocation. Callers therefore leave instrumentation in
 // place unconditionally; bench_serve_throughput gates the <5% overhead
 // budget for the *enabled* path (tools/bench_diff.py).
 //
@@ -166,7 +167,6 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);
   }
@@ -234,7 +234,6 @@ struct TraceContext {
   std::uint64_t job = 0;
   char tenant[Span::kLabelBytes] = {};
 
-  bool active() const { return tracer != nullptr && tracer->enabled(); }
   void set_tenant(const char* s) { Span::copy_label(tenant, s); }
   /// Starts a span attributed to this context (disarmed if inactive).
   SpanTimer span(Phase phase) const {

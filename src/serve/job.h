@@ -1,16 +1,17 @@
 // Job descriptions and lifecycle records for the serve subsystem.
 //
-// A JobSpec is what a tenant hands the JobService: a circuit plus the
-// execution knobs of an ExecutionRequest, a tenant identity, a priority,
-// and an optional dispatch deadline. At submission the service freezes the
-// spec into an ExecutionRequest with a concrete seed -- from then on the
-// job's result is a pure function of that request, never of queue order,
-// batching, or worker count (the serve determinism contract, see
-// docs/ARCHITECTURE.md "Serve layer").
+// A JobSpec is what a tenant hands the JobService: an ExecutionRequest
+// plus a tenant identity, a priority, an optional dispatch deadline and
+// a readout-mitigation flag. At submission the service freezes the
+// spec's request in place: it owns the request's seed (when kAutoSeed),
+// processor, readout snapshot and trace, and rejects a spec that sets
+// the last two itself or whose deadline is NaN or above
+// obs::kMaxSeconds. From then on the job's result is a pure function of
+// that request, never of queue order, batching, or worker count (the
+// serve determinism contract, see docs/ARCHITECTURE.md "Serve layer").
 #ifndef QS_SERVE_JOB_H
 #define QS_SERVE_JOB_H
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -46,52 +47,44 @@ inline bool is_terminal(JobStatus status) {
   return status != JobStatus::kQueued && status != JobStatus::kRunning;
 }
 
-/// One unit of tenant work. Construct with the circuit, then chain
-/// `with_*` setters:
+/// One unit of tenant work: the ExecutionRequest to run plus serve's own
+/// fields. Construct with the circuit, then chain `with_*` setters; set
+/// the request's other fields on `request`:
 ///
 ///   JobSpec(circuit).with_tenant("qaoa").with_priority(2).with_shots(256);
+///
+/// `submit` owns four request fields. `seed`, when kAutoSeed, comes from
+/// the tenant's stream: the k-th auto-seeded job of a tenant always gets
+/// the same seed, so a workload replayed per tenant in order is bitwise
+/// reproducible however tenants interleave. `processor` is retargeted to
+/// a calibrated view once a calibration is published (the device itself
+/// is never modified). `readout_calibration` is the pinned snapshot, set
+/// exactly when `mitigate_readout` is, and `trace` is the job's trace
+/// identity. A spec that sets either of the last two is rejected before
+/// a job id or seed is drawn: a caller-set snapshot would bypass the
+/// pinned epoch, and a caller-set tracer would record spans under the
+/// caller's job id.
+///
+/// Jobs over one parametric circuit batch together whatever their
+/// `parameters`: the plan-sharing key digests the unbound structure, and
+/// the shared plan is bound per job at dispatch. `request.processor`
+/// must outlive the service; jobs sharing (circuit, processor, transpile
+/// options) fingerprints share one TranspiledCircuit through the
+/// service's TranspileCache and may be batched together.
 struct JobSpec {
-  explicit JobSpec(Circuit c) : circuit(std::move(c)) {}
+  explicit JobSpec(Circuit c) : request(std::move(c)) {}
 
-  Circuit circuit;
+  ExecutionRequest request;
   /// Fair-share identity: the scheduler round-robins across tenants so no
   /// single tenant can monopolize the workers.
   std::string tenant = "default";
   /// Larger runs earlier. Jobs of equal priority are fair-shared.
   int priority = 0;
-  /// Measurement shots (see ExecutionRequest::shots).
-  std::size_t shots = 0;
-  /// Stochastic-backend trajectories when shots == 0.
-  std::size_t trajectories = 0;
-  /// Binding for a parametric circuit (see ExecutionRequest::parameters).
-  /// Jobs over one parametric circuit batch together whatever their
-  /// bindings: the plan-sharing key digests the unbound structure, the
-  /// shared compiled plan is bound per job at dispatch.
-  std::vector<double> parameters;
-  /// Diagonal observables to evaluate on the final state.
-  std::vector<Observable> observables;
-  /// Initial computational-basis state; empty = vacuum.
-  std::vector<int> initial_digits;
-  /// Explicit RNG seed. kAutoSeed = derive from the tenant's stream: the
-  /// k-th auto-seeded job of a tenant always gets the same seed, so a
-  /// workload replayed per tenant in order is bitwise reproducible no
-  /// matter how tenants interleave.
-  std::uint64_t seed = kAutoSeed;
   /// Seconds after submission by which the job must have been *dispatched*
-  /// (not finished); 0 = no deadline. Jobs still queued past the deadline
-  /// are marked kExpired instead of running.
+  /// (not finished); <= 0 = no deadline. Jobs still queued past the
+  /// deadline are marked kExpired instead of running. `submit` rejects
+  /// NaN and values above obs::kMaxSeconds.
   double deadline_seconds = 0.0;
-  /// Guard for dense dim^2 allocations (DensityMatrixBackend jobs).
-  std::size_t max_dim = kDefaultMaxDenseDim;
-  /// When set, the job's circuit is transpiled for this processor (the
-  /// device must outlive the service). Jobs sharing the same
-  /// (circuit, processor, transpile options) fingerprints share one
-  /// TranspiledCircuit through the service's TranspileCache and may be
-  /// batched together. When the service has a published calibration, the
-  /// job is pinned to a calibrated view of this device at submission
-  /// (see JobService::recalibrate).
-  const Processor* processor = nullptr;
-  TranspileOptions transpile_options;
   /// Apply calibrated per-site readout mitigation to the job's sampled
   /// histogram (ExecutionResult::mitigated). Requires the service to
   /// have a published calibration snapshot at submission.
@@ -105,46 +98,38 @@ struct JobSpec {
     priority = p;
     return *this;
   }
-  JobSpec& with_shots(std::size_t n) {
-    shots = n;
-    return *this;
-  }
-  JobSpec& with_trajectories(std::size_t n) {
-    trajectories = n;
-    return *this;
-  }
-  JobSpec& with_parameters(std::vector<double> values) {
-    parameters = std::move(values);
-    return *this;
-  }
-  JobSpec& with_observable(std::string name, std::vector<double> diagonal) {
-    observables.push_back({std::move(name), std::move(diagonal)});
-    return *this;
-  }
-  JobSpec& with_initial(std::vector<int> digits) {
-    initial_digits = std::move(digits);
-    return *this;
-  }
-  JobSpec& with_seed(std::uint64_t s) {
-    seed = s;
-    return *this;
-  }
   JobSpec& with_deadline(double seconds) {
     deadline_seconds = seconds;
     return *this;
   }
+  JobSpec& with_readout_mitigation(bool on = true) {
+    mitigate_readout = on;
+    return *this;
+  }
+
+  JobSpec& with_shots(std::size_t n) {
+    request.with_shots(n);
+    return *this;
+  }
+  JobSpec& with_parameters(std::vector<double> values) {
+    request.with_parameters(std::move(values));
+    return *this;
+  }
+  JobSpec& with_observable(std::string name, std::vector<double> diagonal) {
+    request.with_observable(std::move(name), std::move(diagonal));
+    return *this;
+  }
+  JobSpec& with_seed(std::uint64_t s) {
+    request.with_seed(s);
+    return *this;
+  }
   JobSpec& with_max_dim(std::size_t dim) {
-    max_dim = dim;
+    request.with_max_dim(dim);
     return *this;
   }
   JobSpec& with_compilation(const Processor& proc,
                             TranspileOptions options = {}) {
-    processor = &proc;
-    transpile_options = options;
-    return *this;
-  }
-  JobSpec& with_readout_mitigation(bool on = true) {
-    mitigate_readout = on;
+    request.with_compilation(proc, options);
     return *this;
   }
 };
@@ -182,8 +167,7 @@ struct JobRecord {
         plan_key(key),
         submitted_at(now),
         has_deadline(deadline_s > 0.0),
-        deadline(now + std::chrono::duration_cast<obs::Duration>(
-                           std::chrono::duration<double>(deadline_s))),
+        deadline(now + obs::to_duration(deadline_s)),
         tenant_latency_id(latency_hist),
         calib_epoch(epoch),
         calibrated_proc(std::move(calibrated)),
@@ -211,7 +195,7 @@ struct JobRecord {
   const std::uint64_t calib_epoch;
   /// The service-owned calibrated device view `request.processor` points
   /// to (null when the job is logical or the store was empty), so the
-  /// caller's spec.processor is never retargeted.
+  /// caller's device is never modified.
   const std::shared_ptr<const Processor> calibrated_proc;
   /// Fully seeded request; the job's result is a pure function of it.
   const ExecutionRequest request;

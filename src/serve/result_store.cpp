@@ -15,10 +15,10 @@ ResultStore::ResultStore(std::size_t capacity, double ttl_seconds,
                           : nullptr),
       registry_(registry != nullptr ? registry : owned_registry_.get()),
       capacity_(capacity),
-      ttl_(std::chrono::duration_cast<Clock::duration>(
-          std::chrono::duration<double>(ttl_seconds))) {
+      ttl_(obs::to_duration(ttl_seconds)) {
   require(capacity > 0, "ResultStore: capacity must be positive");
-  require(ttl_seconds > 0.0, "ResultStore: ttl must be positive");
+  require(ttl_seconds > 0.0 && ttl_seconds <= obs::kMaxSeconds,
+          "ResultStore: ttl must be in (0, 1e9] seconds");
   stored_id_ = registry_->counter("serve.result_store.stored");
   evicted_id_ = registry_->counter("serve.result_store.evicted");
   expired_id_ = registry_->counter("serve.result_store.expired");

@@ -35,10 +35,11 @@ class ResultStore {
  public:
   using Clock = obs::TimeBase;
 
-  /// `clock` null = wall clock; `registry` null = the store keeps a
-  /// small private registry (the accessors below still work). The store
-  /// publishes `serve.result_store.stored/.evicted/.expired` counters
-  /// and a `.size` gauge.
+  /// `ttl_seconds` must be in (0, obs::kMaxSeconds]. `clock` null = wall
+  /// clock; `registry` null = the store keeps a small private registry
+  /// (the accessors below still work). The store publishes
+  /// `serve.result_store.stored/.evicted/.expired` counters and a `.size`
+  /// gauge.
   ResultStore(std::size_t capacity, double ttl_seconds,
               const obs::Clock* clock = nullptr,
               obs::MetricsRegistry* registry = nullptr);

@@ -470,6 +470,14 @@ JobService::JobService(const Backend& backend, ServiceOptions options)
 JobService::~JobService() { shutdown(ShutdownMode::kAbort); }
 
 JobHandle JobService::submit(JobSpec spec) {
+  // Door checks run before any job id or seed-stream index is consumed,
+  // so a rejected spec leaves the next job's id and seed unchanged.
+  require(spec.request.readout_calibration == nullptr &&
+              spec.request.trace.tracer == nullptr,
+          "JobService::submit: the service sets the request's readout "
+          "calibration and trace (use with_readout_mitigation())");
+  require(spec.deadline_seconds <= obs::kMaxSeconds,
+          "JobService::submit: deadline must be a number of at most 1e9 s");
   // kSubmit covers the whole admission path; the job id and tenant are
   // attached once allocated below.
   obs::SpanTimer submit_span = core_->tracer != nullptr
@@ -479,30 +487,23 @@ JobHandle JobService::submit(JobSpec spec) {
   // calibrated view's fingerprint folds in the snapshot epoch, so after
   // a recalibration new jobs land in fresh transpile/plan/batching
   // groups while queued jobs keep their frozen view. The record owns the
-  // calibrated device copy, so spec.processor is never retargeted.
+  // calibrated device copy, so the caller's device is never modified.
+  ExecutionRequest& request = spec.request;
   const CalibrationStore::Ptr calib = core_->calib_store.latest();
   std::shared_ptr<const Processor> calibrated;
-  if (spec.processor != nullptr && calib != nullptr)
+  if (request.processor != nullptr && calib != nullptr) {
     calibrated = std::make_shared<const Processor>(
-        spec.processor->with_calibration(calib));
-  if (spec.mitigate_readout)
+        request.processor->with_calibration(calib));
+    request.processor = calibrated.get();
+  }
+  if (spec.mitigate_readout) {
     require(calib != nullptr,
             "JobService::submit: readout mitigation requested but no "
             "calibration snapshot has been published (recalibrate() first)");
+    request.readout_calibration = calib;
+  }
   const std::uint64_t epoch =
       calibrated != nullptr || spec.mitigate_readout ? calib->epoch : 0;
-
-  ExecutionRequest request(std::move(spec.circuit));
-  request.shots = spec.shots;
-  request.trajectories = spec.trajectories;
-  request.parameters = std::move(spec.parameters);
-  request.observables = std::move(spec.observables);
-  request.initial_digits = std::move(spec.initial_digits);
-  request.max_dim = spec.max_dim;
-  request.processor = calibrated != nullptr ? calibrated.get() : spec.processor;
-  request.transpile_options = spec.transpile_options;
-  if (spec.mitigate_readout) request.readout_calibration = calib;
-  request.seed = spec.seed;
   // Malformed bindings fail at the submission door (no handle is ever
   // issued), not as a job failure at dispatch.
   (void)effective_parameters(request);

@@ -74,7 +74,7 @@ struct ServiceOptions {
   // service) ---------------------------------------------------------
 
   /// Span sink for the job lifecycle (kSubmit/kQueue/kBatch/...). Null =
-  /// tracing disabled; instrumentation then costs one relaxed load per
+  /// tracing disabled; instrumentation then costs one null check per
   /// site (see obs/trace.h).
   obs::Tracer* tracer = nullptr;
   /// Time source for every service timestamp (submission, deadlines,

@@ -11,6 +11,7 @@
 #include "gates/bosonic.h"
 #include "gates/qudit_gates.h"
 #include "gates/two_qudit.h"
+#include "obs/clock.h"
 #include "qaoa/coloring_qaoa.h"
 #include "qaoa/graph.h"
 #include "sqed/gauge_model.h"
@@ -59,12 +60,14 @@ std::string fmt(double v) {
                            "' in: " + line);
 }
 
-/// Finite doubles only: a rate of inf or nan never lets poisson() return.
+/// Finite doubles up to `max` only: a rate of inf or nan never lets
+/// poisson() return, and spans of seconds pass max = obs::kMaxSeconds.
 double parse_f64(const std::string& field, const std::string& value,
-                 const std::string& line) {
+                 const std::string& line,
+                 double max = std::numeric_limits<double>::max()) {
   try {
     const double v = std::stod(value);
-    if (std::isfinite(v)) return v;
+    if (std::isfinite(v) && v <= max) return v;
   } catch (const std::exception&) {
   }
   bad_field(field, value, line);
@@ -148,11 +151,12 @@ WorkloadSpec WorkloadSpec::parse(const std::string& line) {
     } else if (key == "ticks") {
       spec.ticks = parse_u64(key, value, line);
     } else if (key == "tick_s") {
-      spec.tick_seconds = parse_f64(key, value, line);
+      spec.tick_seconds = parse_f64(key, value, line, obs::kMaxSeconds);
     } else if (key == "snap") {
       spec.snapshot_every = parse_u64(key, value, line);
     } else if (key == "ttl") {
-      spec.result_ttl_seconds = parse_f64(key, value, line);
+      spec.result_ttl_seconds =
+          parse_f64(key, value, line, obs::kMaxSeconds);
     } else if (key == "storm_pub") {
       spec.storm_publishes = parse_u64(key, value, line);
     } else if (key == "flood_frac") {
@@ -185,7 +189,8 @@ WorkloadSpec WorkloadSpec::parse(const std::string& line) {
       t.burst_length = parse_u64("tenant burst_length", f[5], line);
       t.priority = parse_int("tenant priority", f[6], line);
       t.deadline_fraction = parse_f64("tenant deadline_fraction", f[7], line);
-      t.deadline_seconds = parse_f64("tenant deadline_seconds", f[8], line);
+      t.deadline_seconds = parse_f64("tenant deadline_seconds", f[8], line,
+                                     obs::kMaxSeconds);
       t.cancel_fraction = parse_f64("tenant cancel_fraction", f[9], line);
       t.shots = parse_u64("tenant shots", f[10], line);
       t.variants = parse_u64("tenant variants", f[11], line);

@@ -98,7 +98,7 @@ struct WorkloadSpec {
   /// `spec` header field.
   std::string serialize() const;
   /// Inverse of serialize(); throws std::runtime_error on malformed
-  /// input.
+  /// input, non-finite numbers and seconds above obs::kMaxSeconds.
   static WorkloadSpec parse(const std::string& line);
 
   /// The canonical mixed scenario: four tenants (bursty QAOA sweeps,

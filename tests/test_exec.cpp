@@ -60,6 +60,13 @@ TEST(Backends, AgreeOnNoiselessBellCircuit) {
   const auto& space = c.space();
   for (int k = 0; k < 3; ++k)
     EXPECT_NEAR(p_sv[space.index_of({k, k})], 1.0 / 3.0, 1e-12);
+  // Both run one pure state; the noiseless trajectory backend samples it
+  // from the request seed's first split stream.
+  const std::uint64_t seeds[] = {1, 42, 0x5eed};
+  for (const std::uint64_t seed : seeds)
+    EXPECT_EQ(traj.sample_counts(c, 300, seed),
+              sv.sample_counts(c, 300, split_seed(seed, 0)))
+        << "seed " << seed;
 
   EXPECT_FALSE(sv.is_noisy());
   EXPECT_FALSE(dm.is_noisy());

@@ -47,7 +47,9 @@ TEST(WorkloadSpecTest, SerializeParseRoundTrip) {
 
   // Numbers that used to parse and then hang the engine: poisson() never
   // returns on a non-finite rate, and stoull wraps a sign to 2^64 - 1.
-  // Each is rejected, and the error names the field.
+  // Spans of seconds above obs::kMaxSeconds overflowed the clock's int64
+  // nanoseconds, so a deadline meant as "never" expired at once. Each is
+  // rejected, and the error names the field.
   const auto tenant = [](const std::string& rate, const std::string& shots) {
     return " tenant=a,qrc," + rate + ",1,0,1,0,0,0,0," + shots + ",4";
   };
@@ -57,6 +59,10 @@ TEST(WorkloadSpecTest, SerializeParseRoundTrip) {
       {"ticks=4" + tenant("nan", "64"), "tenant rate 'nan'"},
       {"ticks=-1" + tenant("1", "64"), "ticks '-1'"},
       {"ticks=4" + tenant("1", "-64"), "tenant shots '-64'"},
+      {"ticks=4 tick_s=1e10" + tenant("1", "64"), "tick_s '1e10'"},
+      {"ticks=4 ttl=1e10" + tenant("1", "64"), "ttl '1e10'"},
+      {"ticks=4 tenant=a,qrc,1,1,0,1,0,1,1e10,0,64,4",
+       "tenant deadline_seconds '1e10'"},
   };
   for (const auto& [input, field] : bad) {
     try {

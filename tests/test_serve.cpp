@@ -3,12 +3,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dynamics/trotter.h"
@@ -552,6 +555,102 @@ TEST(JobService, DeadlineExpiresQueuedJobs) {
   EXPECT_EQ(fine.wait().status, JobStatus::kDone);
   service.shutdown(ShutdownMode::kDrain);
   EXPECT_EQ(service.telemetry().expired, 1u);
+}
+
+/// Submits `rejected`, which must throw std::invalid_argument, into a
+/// paused service, then a plain job of the same tenant. That job must get
+/// the id and seed a fresh service gives its first job: the rejected
+/// submit consumed no job id and no seed-stream index.
+void expect_rejected_at_the_door(JobSpec rejected) {
+  const StateVectorBackend backend;
+  ServiceOptions options;
+  options.start_paused = true;
+  JobService service(backend, options);
+  JobService fresh(backend, options);
+  EXPECT_THROW(service.submit(std::move(rejected)), std::invalid_argument);
+  EXPECT_EQ(service.telemetry().submitted, 0u);
+  const JobHandle next = service.submit(JobSpec(qrc_circuit(0.1)));
+  const JobHandle first = fresh.submit(JobSpec(qrc_circuit(0.1)));
+  EXPECT_EQ(next.id(), first.id());
+  EXPECT_EQ(next.seed(), first.seed());
+}
+
+TEST(JobService, OverlongDeadlineOrTtlIsRejected) {
+  // A Duration counts int64 nanoseconds, so 1e10 s used to wrap: a
+  // deadline meant as "never" expired at the first pop, and a store with
+  // that TTL returned nothing right after put.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double seconds : {1e10, inf, nan})
+    expect_rejected_at_the_door(
+        JobSpec(qrc_circuit(0.1)).with_deadline(seconds));
+
+  const StateVectorBackend backend;
+  ServiceOptions long_ttl;
+  long_ttl.result_ttl_seconds = 1e10;
+  EXPECT_THROW(JobService service(backend, long_ttl), std::invalid_argument);
+  EXPECT_THROW(ResultStore store(4, 1e10), std::invalid_argument);
+
+  // The bound itself is accepted, and is "never" in practice.
+  ServiceOptions options;
+  options.result_ttl_seconds = obs::kMaxSeconds;
+  JobService service(backend, options);
+  const JobHandle h = service.submit(
+      JobSpec(qrc_circuit(0.1)).with_shots(8).with_deadline(obs::kMaxSeconds));
+  EXPECT_EQ(h.wait().status, JobStatus::kDone);
+  EXPECT_TRUE(service.fetch(h.id()).has_value());
+}
+
+TEST(JobService, ServedJobRunsExactlyItsRequest) {
+  // Every request field reaches the backend unchanged: a served job's
+  // result equals, bit for bit, the backend's on the same request --
+  // logical with an initial state and a trajectory count, and
+  // hardware-targeted before any calibration is published.
+  Graph triangle;
+  triangle.n = 3;
+  triangle.edges = {{0, 1}, {1, 2}, {0, 2}};
+  const ColoringQaoa qaoa(triangle, 3);
+  const std::vector<int> offsets = {0, 0, 0};
+  ProcessorConfig cfg;
+  cfg.num_cavities = 3;
+  cfg.modes_per_cavity = 1;
+  cfg.levels_per_mode = 3;
+  const Processor proc(cfg);
+  const TrajectoryBackend backend{device_noise()};
+
+  JobSpec logical(qaoa.parametric_circuit(1, offsets));
+  logical.with_tenant("exact")
+      .with_shots(0)
+      .with_parameters({0.7, 0.3})
+      .with_observable("cost", qaoa.cost_diagonal(offsets))
+      .with_seed(4242)
+      .with_max_dim(64);
+  logical.request.with_initial({1, 0, 2}).with_trajectories(40);
+  JobSpec targeted = logical;
+  targeted.with_compilation(proc);
+
+  JobService service(backend);
+  for (const JobSpec& spec : {logical, targeted}) {
+    const ExecutionResult want = backend.execute(spec.request);
+    const ExecutionResult got = service.submit(spec).result();
+    EXPECT_EQ(got.seed, 4242u);
+    EXPECT_EQ(got.trajectories, 40u);
+    EXPECT_EQ(got.counts, want.counts);
+    EXPECT_EQ(got.probabilities, want.probabilities);
+    EXPECT_EQ(got.expectations, want.expectations);
+  }
+
+  // `submit` owns the request's readout snapshot and trace: a spec that
+  // sets either itself is rejected before an id or seed is drawn.
+  obs::Tracer tracer;
+  JobSpec traced(qrc_circuit(0.1));
+  traced.request.with_trace(&tracer);
+  expect_rejected_at_the_door(traced);
+  JobSpec pinned(qrc_circuit(0.1));
+  pinned.request.with_readout_mitigation(
+      std::make_shared<const CalibrationSnapshot>(
+          CalibrationSnapshot::nominal(proc)));
+  expect_rejected_at_the_door(pinned);
 }
 
 TEST(JobService, WokenClientSeesItsJobCounted) {
